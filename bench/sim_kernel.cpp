@@ -20,20 +20,16 @@
 
 #include "BenchUtil.h"
 
-#include "model/Report.h"
 #include "net/Network.h"
 #include "remoting/Engine.h"
 #include "serial/Archive.h"
-#include "sim/ParallelExecutor.h"
 #include "support/Metrics.h"
 #include "support/TelemetrySink.h"
-#include "support/Trace.h"
 #include "telemetry/Telemetry.h"
 #include "vm/Cluster.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -216,134 +212,6 @@ public:
   void record(int, const char *, int64_t, int64_t) override { ++Records; }
 };
 
-//===----------------------------------------------------------------------===//
-// PDES executor throughput
-//===----------------------------------------------------------------------===//
-
-/// Per-partition pump context: one self-replenishing event population per
-/// partition, stable in memory so the 8-byte Pump capture stays inside the
-/// EventCallback inline buffer.
-struct PdesCtx {
-  sim::Partition *Part = nullptr;
-  uint64_t Remaining = 0;
-  Rng R;
-  int64_t LookaheadNs = 0;
-  std::vector<PdesCtx> *All = nullptr;
-};
-
-/// The PDES pump: mostly local events with the raw-events delay mix; every
-/// 64th event emigrates to the next partition as cross-partition mail at
-/// now + lookahead (the earliest a conservative send may land), so windows
-/// stay populated and the merge path is actually exercised.
-struct PdesPump {
-  PdesCtx *C;
-  void operator()() const {
-    if (C->Remaining == 0)
-      return;
-    --C->Remaining;
-    uint32_t Roll = C->R.next();
-    int K = int(C->All->size());
-    if ((Roll & 63) == 0 && K > 1) {
-      int Dst = (C->Part->id() + 1) % K;
-      PdesCtx *DstCtx = &(*C->All)[size_t(Dst)];
-      int64_t AtNs =
-          C->Part->sim().now().nanosecondsCount() + C->LookaheadNs;
-      C->Part->post(Dst, AtNs, sim::EventCallback(PdesPump{DstCtx}));
-    } else {
-      sim::SimTime Delay = (Roll & 1)
-                               ? sim::SimTime()
-                               : sim::SimTime::nanoseconds(Roll % 2048);
-      C->Part->sim().schedule(Delay, PdesPump{C});
-    }
-  }
-};
-
-struct PdesBenchResult {
-  double EventsPerSec = 0;
-  uint64_t Windows = 0;
-  double EventsPerWindow = 0;
-};
-
-/// Windowed-executor throughput at a given shape.  The per-partition hot
-/// loops keep the serial kernel's zero-allocation promise: the asserts
-/// below fail the bench if a pump capture ever leaves the inline buffer or
-/// event nodes stop recycling.
-PdesBenchResult benchPdes(int Partitions, int Threads, uint64_t Total) {
-  constexpr int64_t LookaheadNs = 4096;
-  constexpr int Population = 32; // pumps per partition
-
-  sim::PdesConfig Config;
-  Config.Partitions = Partitions;
-  Config.Threads = Threads;
-  Config.LookaheadNs = LookaheadNs;
-  sim::ParallelExecutor Exec(Config);
-
-  std::vector<PdesCtx> Ctx(static_cast<size_t>(Partitions));
-  for (int P = 0; P < Partitions; ++P) {
-    Ctx[size_t(P)].Part = &Exec.partition(P);
-    Ctx[size_t(P)].Remaining = Total / uint64_t(Partitions);
-    Ctx[size_t(P)].R.State = 0x9e3779b9u + uint32_t(P);
-    Ctx[size_t(P)].LookaheadNs = LookaheadNs;
-    Ctx[size_t(P)].All = &Ctx;
-  }
-  for (int P = 0; P < Partitions; ++P)
-    for (int I = 0; I < Population; ++I)
-      Exec.partition(P).sim().schedule(sim::SimTime::nanoseconds(I),
-                                       PdesPump{&Ctx[size_t(P)]});
-
-  WallTimer Timer;
-  uint64_t Events = Exec.run();
-  double Secs = Timer.seconds();
-
-  for (int P = 0; P < Partitions; ++P) {
-    const sim::SchedulerCounters &C = Exec.partition(P).sim().counters();
-    assert(C.SboMisses == 0 && "PdesPump capture fell off the SBO");
-    assert(C.NodesAllocated <= 2 * Population + 64 &&
-           "partition event nodes not recycled");
-    (void)C;
-  }
-
-  PdesBenchResult Result;
-  Result.EventsPerSec = static_cast<double>(Events) / Secs;
-  Result.Windows = Exec.windowCount();
-  Result.EventsPerWindow =
-      static_cast<double>(Events) / static_cast<double>(Exec.windowCount());
-  return Result;
-}
-
-/// The no-window reference: the identical pump workload (same population,
-/// same delay mix, emigration turned into a local event) on one plain
-/// Simulator.  benchPdes(K, 1, Total) vs this isolates what the window
-/// planning, barriers and mailbox merging cost when threads cannot help.
-double benchPdesSerialReference(uint64_t Total) {
-  sim::Simulator Sim;
-  uint64_t Remaining = Total;
-  Rng R;
-  struct Pump {
-    sim::Simulator &Sim;
-    uint64_t &Remaining;
-    Rng &R;
-    void operator()() const {
-      if (Remaining == 0)
-        return;
-      --Remaining;
-      uint32_t Roll = R.next();
-      sim::SimTime Delay = (Roll & 1)
-                               ? sim::SimTime()
-                               : sim::SimTime::nanoseconds(Roll % 2048);
-      Sim.schedule(Delay, Pump{Sim, Remaining, R});
-    }
-  };
-  constexpr int Population = 32;
-  for (int I = 0; I < Population; ++I)
-    Sim.schedule(sim::SimTime::nanoseconds(I), Pump{Sim, Remaining, R});
-  WallTimer Timer;
-  Sim.run();
-  double Secs = Timer.seconds();
-  assert(Sim.counters().SboMisses == 0 && "Pump capture fell off the SBO");
-  return static_cast<double>(Sim.eventsProcessed()) / Secs;
-}
-
 } // namespace
 
 /// Seed baseline: the binary-heap kernel at commit f2d4936, best-of-N on
@@ -356,43 +224,18 @@ struct Baseline {
   double HttpCallsPerSec = 248007;
 };
 
-/// PR 1 baseline: the calendar-queue kernel *before* the trace/metrics
-/// layer went in (commit 994fbab), rebuilt and re-measured interleaved
-/// with the instrumented bench on the same machine, best-of-10.  The
-/// tracing-disabled overhead verdict compares against these numbers;
-/// re-record them the same way (rebuild the pre-observability commit in a
-/// worktree, alternate runs) when moving machines -- absolute numbers
-/// from another day's machine state make the percentage meaningless.
-struct Pr1Baseline {
-  double EventsPerSec = 27923130;
-  double ResumesPerSec = 23589143;
-};
-
 int main(int argc, char **argv) {
   bool Smoke = false;
-  bool CheckOverhead = false;
   const char *MetricsJsonPath = nullptr;
-  std::string SweepOutPath;
-  int OneShotThreads = 0;
-  int OneShotPartitions = 0;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--smoke") == 0) {
       Smoke = true;
-    } else if (std::strcmp(argv[I], "--check-overhead") == 0) {
-      CheckOverhead = true;
     } else if (std::strcmp(argv[I], "--metrics-json") == 0 && I + 1 < argc) {
       MetricsJsonPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      OneShotThreads = std::atoi(argv[++I]);
-    } else if (std::strcmp(argv[I], "--partitions") == 0 && I + 1 < argc) {
-      OneShotPartitions = std::atoi(argv[++I]);
-    } else if (std::strcmp(argv[I], "--sweep-out") == 0 && I + 1 < argc) {
-      SweepOutPath = argv[++I];
     } else {
       std::fprintf(stderr,
                    "unknown option '%s' (supported: --smoke, "
-                   "--check-overhead, --metrics-json <file>, "
-                   "--threads <N>, --partitions <K>, --sweep-out <file>)\n",
+                   "--metrics-json <file>)\n",
                    argv[I]);
       return 2;
     }
@@ -401,27 +244,11 @@ int main(int argc, char **argv) {
   uint64_t EventTotal = Smoke ? 20000 : 4000000;
   uint64_t ResumeTotal = Smoke ? 20000 : 4000000;
   uint64_t RpcCalls = Smoke ? 200 : 40000;
-  uint64_t PdesTotal = Smoke ? 40000 : 2000000;
-
-  // One-shot PDES shape probe: `--threads N [--partitions K]` measures that
-  // single configuration and exits (manual sweeps, perf(1) sessions).
-  if (OneShotThreads > 0 || OneShotPartitions > 0) {
-    int K = OneShotPartitions > 0 ? OneShotPartitions : 8;
-    int T = OneShotThreads > 0 ? OneShotThreads : 1;
-    banner("M2", "PDES executor one-shot");
-    PdesBenchResult R = benchPdes(K, T, PdesTotal);
-    std::printf("  pdes partitions=%d threads=%d: %.0f events/s, "
-                "%llu windows, %.1f events/window\n",
-                K, T, R.EventsPerSec, (unsigned long long)R.Windows,
-                R.EventsPerWindow);
-    return 0;
-  }
 
   banner("M2", "simulation kernel + message path throughput");
 
-  // Best-of-5 for the two kernel microbenches: the overhead verdict below
-  // compares against a best-of-N baseline, so single samples would be
-  // biased toward "over budget" by noise alone.
+  // Best-of-5 for the two kernel microbenches: single samples are biased
+  // low by scheduler noise alone.
   int Reps = Smoke ? 1 : 5;
   double EventsPerSec = 0, ResumesPerSec = 0;
   for (int R = 0; R < Reps; ++R)
@@ -453,31 +280,6 @@ int main(int argc, char **argv) {
                               RpcCalls, /*WithTelemetry=*/true);
   double RpcTelOverheadPct = (1.0 - TcpTel.CallsPerSec / Tcp.CallsPerSec) * 100.0;
 
-  // PDES sweep: the 8-partition pump workload at 1/2/4/8 threads, plus the
-  // plain-simulator reference that prices the window/merge machinery.
-  constexpr int PdesPartitions = 8;
-  constexpr int PdesThreadSweep[] = {1, 2, 4, 8};
-  double PdesSerial = 0;
-  for (int R = 0; R < Reps; ++R)
-    PdesSerial = std::max(PdesSerial, benchPdesSerialReference(PdesTotal));
-  // Every repeat lands in the sweep (the fitter wants the noise, so the
-  // confidence bands are honest); the table below keeps best-of-Reps.
-  SweepWriter Sweep("sim_kernel");
-  PdesBenchResult PdesAt[4];
-  for (int I = 0; I < 4; ++I)
-    for (int R = 0; R < Reps; ++R) {
-      PdesBenchResult Sample =
-          benchPdes(PdesPartitions, PdesThreadSweep[I], PdesTotal);
-      Sweep.point({{"partitions", double(PdesPartitions)},
-                   {"threads", double(PdesThreadSweep[I])}},
-                  {{"events_per_sec", Sample.EventsPerSec},
-                   {"events_per_window", Sample.EventsPerWindow}});
-      if (Sample.EventsPerSec > PdesAt[I].EventsPerSec)
-        PdesAt[I] = Sample;
-    }
-  Sweep.write(SweepOutPath);
-  double PdesOverheadPct = (1.0 - PdesAt[0].EventsPerSec / PdesSerial) * 100.0;
-
   row({"metric", "ops/sec", "note"});
   row({"events", fmt(EventsPerSec, 0), "mixed-delay callbacks"});
   row({"resumes", fmt(ResumesPerSec, 0), "coroutine delay loop"});
@@ -485,40 +287,10 @@ int main(int argc, char **argv) {
        fmt(Tcp.EventsPerCall, 1) + " ev/call"});
   row({"rpc-http", fmt(Http.CallsPerSec, 0),
        fmt(Http.EventsPerCall, 1) + " ev/call"});
-  row({"pdes-serial", fmt(PdesSerial, 0), "no windows/barriers"});
-  for (int I = 0; I < 4; ++I)
-    row({"pdes-t" + std::to_string(PdesThreadSweep[I]),
-         fmt(PdesAt[I].EventsPerSec, 0),
-         fmt(PdesAt[I].EventsPerWindow, 1) + " ev/window"});
   row({"tel-hook-off", fmt(HookOffPerSec, 0), "no sink: load+branch"});
   row({"tel-hook-on", fmt(HookOnPerSec, 0), "null sink dispatch"});
   row({"rpc-tcp+tel", fmt(TcpTel.CallsPerSec, 0),
        fmt(RpcTelOverheadPct, 1) + "% vs rpc-tcp"});
-
-  // Tracing-disabled overhead vs. the PR 1 kernel.  Only meaningful when
-  // the trace layer really was off for the runs above, and only
-  // comparable to the stored baseline on the reference machine -- so the
-  // verdict is informational unless --check-overhead asks for a hard
-  // failure (best-of-N on a quiet machine).
-  Pr1Baseline Pr1;
-  double EventsOverheadPct = (1.0 - EventsPerSec / Pr1.EventsPerSec) * 100.0;
-  double ResumesOverheadPct =
-      (1.0 - ResumesPerSec / Pr1.ResumesPerSec) * 100.0;
-  bool OverheadOk = EventsOverheadPct < 1.0 && ResumesOverheadPct < 1.0;
-  if (trace::enabled()) {
-    std::printf("\ntrace-overhead: skipped (tracing was ENABLED for this "
-                "run; unset PARCS_TRACE to measure)\n");
-  } else {
-    std::printf("\ntrace-overhead vs PR1 kernel: events %+.2f%%, resumes "
-                "%+.2f%% (target < 1%%) -> %s\n",
-                EventsOverheadPct, ResumesOverheadPct,
-                OverheadOk ? "OK" : "over budget (rerun best-of-N on a "
-                                    "quiet machine)");
-    if (CheckOverhead && !OverheadOk) {
-      std::fprintf(stderr, "trace-overhead check failed\n");
-      return 1;
-    }
-  }
 
   if (MetricsJsonPath) {
     metrics::ReportSpec Spec;
@@ -534,14 +306,6 @@ int main(int argc, char **argv) {
     FILE *Json = std::fopen("BENCH_sim_kernel.json", "w");
     if (Json) {
       Baseline Before;
-      // The PDES sweep, fitted: scaling laws vs threads that `parcs-model
-      // check` can gate fresh runs against (the "model" member is the
-      // standard parcs-model JSON, readable by loadModelFile directly
-      // from this file).
-      std::string ModelSection = "null\n";
-      if (ErrorOr<model::ModelSet> Fit =
-              model::fitAll(Sweep.data(), "threads"))
-        ModelSection = model::modelJson(*Fit);
       std::fprintf(
           Json,
           "{\n"
@@ -568,30 +332,6 @@ int main(int argc, char **argv) {
           "    \"rpc_tcp\": %.2f,\n"
           "    \"rpc_http\": %.2f\n"
           "  },\n"
-          "  \"pdes\": {\n"
-          "    \"note\": \"8-partition pump workload, best-of-5; serial is "
-          "the same workload on one plain Simulator (no windows, no "
-          "barriers); thread speedups require real cores -- on a 1-CPU "
-          "machine threads>1 only adds contention\",\n"
-          "    \"partitions\": %d,\n"
-          "    \"lookahead_ns\": 4096,\n"
-          "    \"serial_events_per_sec\": %.0f,\n"
-          "    \"events_per_sec_at_threads\": "
-          "{\"1\": %.0f, \"2\": %.0f, \"4\": %.0f, \"8\": %.0f},\n"
-          "    \"events_per_window\": %.1f,\n"
-          "    \"merge_barrier_overhead_pct_t1_vs_serial\": %.2f,\n"
-          "    \"speedup_t4_vs_t1\": %.2f\n"
-          "  },\n"
-          "  \"trace_overhead\": {\n"
-          "    \"note\": \"tracing-disabled run vs the PR 1 kernel "
-          "baseline; negative = faster than baseline\",\n"
-          "    \"pr1_events_per_sec\": %.0f,\n"
-          "    \"pr1_resumes_per_sec\": %.0f,\n"
-          "    \"events_overhead_pct\": %.2f,\n"
-          "    \"resumes_overhead_pct\": %.2f,\n"
-          "    \"tracing_enabled\": %s,\n"
-          "    \"under_one_percent\": %s\n"
-          "  },\n"
           "  \"telemetry_overhead\": {\n"
           "    \"note\": \"hook = telemetry::record call site; disabled is "
           "the compiled-in-but-off cost every hot path pays, null-sink "
@@ -604,8 +344,7 @@ int main(int argc, char **argv) {
           "    \"rpc_tcp_calls_per_sec_plane_off\": %.0f,\n"
           "    \"rpc_tcp_calls_per_sec_plane_on\": %.0f,\n"
           "    \"rpc_tcp_plane_overhead_pct\": %.2f\n"
-          "  },\n"
-          "  \"model\": %s"
+          "  }\n"
           "}\n",
           Before.EventsPerSec, Before.ResumesPerSec, Before.TcpCallsPerSec,
           Before.HttpCallsPerSec, EventsPerSec, ResumesPerSec,
@@ -613,16 +352,9 @@ int main(int argc, char **argv) {
           Http.EventsPerCall, EventsPerSec / Before.EventsPerSec,
           ResumesPerSec / Before.ResumesPerSec,
           Tcp.CallsPerSec / Before.TcpCallsPerSec,
-          Http.CallsPerSec / Before.HttpCallsPerSec, PdesPartitions,
-          PdesSerial, PdesAt[0].EventsPerSec, PdesAt[1].EventsPerSec,
-          PdesAt[2].EventsPerSec, PdesAt[3].EventsPerSec,
-          PdesAt[0].EventsPerWindow, PdesOverheadPct,
-          PdesAt[2].EventsPerSec / PdesAt[0].EventsPerSec, Pr1.EventsPerSec,
-          Pr1.ResumesPerSec, EventsOverheadPct, ResumesOverheadPct,
-          trace::enabled() ? "true" : "false",
-          OverheadOk ? "true" : "false", HookOffPerSec,
+          Http.CallsPerSec / Before.HttpCallsPerSec, HookOffPerSec,
           1e9 / HookOffPerSec, HookOnPerSec, Tcp.CallsPerSec,
-          TcpTel.CallsPerSec, RpcTelOverheadPct, ModelSection.c_str());
+          TcpTel.CallsPerSec, RpcTelOverheadPct);
       std::fclose(Json);
       std::printf("\nwrote BENCH_sim_kernel.json\n");
     }

@@ -11,9 +11,7 @@
 ///
 /// Everything runs in *virtual time* on a deterministic simulator: the
 /// printed times are the times the paper's testbed would observe, and a
-/// re-run produces identical output.  The same determinism holds on the
-/// parallel simulation kernel (PARCS_SIM_THREADS=N, see the PDES section
-/// of docs/perf.md): goldens are byte-identical at any thread count.
+/// re-run produces identical output.
 ///
 //===----------------------------------------------------------------------===//
 

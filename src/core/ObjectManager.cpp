@@ -80,17 +80,6 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
   (void)ClassName; // Placement is currently class-independent.
   metrics::Registry::global().counter("om.placements").add(1);
   int Nodes = Runtime.nodeCount();
-  // Partition-aware accounting: a placement whose target lives on another
-  // PDES partition turns every future call into cross-partition mail, so
-  // the ratio is the knob-tuning signal for partition maps.
-  auto Chose = [&](int Node) {
-    if (Runtime.cluster().partitionOf(Node) !=
-        Runtime.cluster().partitionOf(NodeId))
-      metrics::Registry::global()
-          .counter("om.placements_cross_partition")
-          .add(1);
-    return Node;
-  };
   // Failure awareness: a node the health tracker marked down is skipped,
   // and so is one the backpressure tracker marked saturated -- handing a
   // new object to a node actively refusing work only deepens its backlog
@@ -119,7 +108,7 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
     int Candidate = (NodeId + 1 + NextPlacement++ % Nodes) % Nodes;
     for (int Step = 0; Step < Nodes; ++Step) {
       if (Usable(Candidate))
-        co_return Chose(Candidate);
+        co_return Candidate;
       Candidate = (Candidate + 1) % Nodes;
     }
     co_return degraded();
@@ -128,14 +117,14 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
     int Pick = static_cast<int>(
         Runtime.rng().nextBelow(static_cast<uint64_t>(Nodes)));
     if (Usable(Pick))
-      co_return Chose(Pick);
+      co_return Pick;
     std::vector<int> Alive;
     for (int Node = 0; Node < Nodes; ++Node)
       if (Usable(Node))
         Alive.push_back(Node);
     if (Alive.empty())
       co_return degraded();
-    co_return Chose(Alive[Runtime.rng().nextBelow(Alive.size())]);
+    co_return Alive[Runtime.rng().nextBelow(Alive.size())];
   }
   case PlacementPolicy::LocalOnly:
     co_return NodeId;
@@ -162,7 +151,7 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
         BestLoad = *Load;
       }
     }
-    co_return Chose(Best);
+    co_return Best;
   }
   case PlacementPolicy::PowerOfTwoChoices: {
     // ROADMAP A4: O(1) probes instead of the O(nodes) LeastLoaded poll.
@@ -184,14 +173,14 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
         B = Alive[Runtime.rng().nextBelow(Alive.size())];
     }
     if (A == B)
-      co_return Chose(A);
+      co_return A;
     if (A > B)
       std::swap(A, B);
     int LoadA = A == NodeId ? loadMetric() : co_await probeLoad(A, INT32_MAX);
     int LoadB = B == NodeId ? loadMetric() : co_await probeLoad(B, INT32_MAX);
     if (LoadA == INT32_MAX && LoadB == INT32_MAX)
       co_return degraded();
-    co_return Chose(LoadB < LoadA ? B : A);
+    co_return LoadB < LoadA ? B : A;
   }
   }
   PARCS_UNREACHABLE("unhandled PlacementPolicy");

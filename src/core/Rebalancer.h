@@ -15,8 +15,8 @@
 /// instead of thrashing the cluster.
 ///
 /// Everything runs on virtual time off deterministic signals, so the
-/// sequence of triggered migrations is byte-identical across
-/// PARCS_SIM_THREADS values and repeated runs.
+/// sequence of triggered migrations is byte-identical across repeated
+/// runs.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -412,8 +412,8 @@ void checkHotPathAlloc(FileCtx &Ctx) {
 //===----------------------------------------------------------------------===//
 
 /// Singleton accessor spellings: a qualified `X::global()` / `X::instance()`
-/// call hands out process-wide state, which PARCS_HOT regions must not touch
-/// (every PDES partition worker runs them concurrently).
+/// call hands out process-wide state, which PARCS_HOT regions must not
+/// touch.
 constexpr std::string_view SingletonAccessors[] = {
     "global",
     "instance",
@@ -430,7 +430,7 @@ void checkCrossPartitionSharedState(FileCtx &Ctx) {
 
     // Mutable function-local / file-scope static.  `static const` /
     // `static constexpr` are immutable after init and stay legal;
-    // `static thread_local` is per-worker and stays legal.  (`static_cast`
+    // `static thread_local` is per-thread and stays legal.  (`static_cast`
     // and `static_assert` are distinct identifier tokens, so they never
     // match.)
     if (T.Text == "static") {
@@ -456,9 +456,9 @@ void checkCrossPartitionSharedState(FileCtx &Ctx) {
       if (IsFunction)
         continue;
       Ctx.report(rules::CrossPartitionSharedState, T,
-                 "mutable 'static' inside a PARCS_HOT region is shared "
-                 "across PDES partition workers; use partition-owned state "
-                 "or 'static constexpr'");
+                 "mutable 'static' inside a PARCS_HOT region is "
+                 "process-wide mutable state; use owned state or "
+                 "'static constexpr'");
       continue;
     }
     if (T.Text == "thread_local")
@@ -474,8 +474,8 @@ void checkCrossPartitionSharedState(FileCtx &Ctx) {
                      "singleton accessor '" + std::string(Ctx.tok(I - 2).Text) +
                          "::" + std::string(Accessor) +
                          "()' inside a PARCS_HOT region reaches process-wide "
-                         "state shared across PDES partition workers; fold "
-                         "into per-partition shards outside the hot loop");
+                         "mutable state; fold the update outside the hot "
+                         "loop");
           break;
         }
       }

@@ -22,8 +22,8 @@
 ///   nonreentrant-call             no non-reentrant libc calls in src/
 ///   hot-path-region               PARCS_HOT_BEGIN/END pairing is sound
 ///   cross-partition-shared-state  no mutable statics / singleton accessors
-///                                 in PARCS_HOT regions (PDES partitions run
-///                                 those regions concurrently)
+///                                 in PARCS_HOT regions (hot regions touch
+///                                 no process-wide mutable state)
 ///
 /// Findings are suppressed inline with
 ///   // parcs-lint: allow(<rule>[, <rule>...]): <justification>
@@ -61,12 +61,11 @@ inline constexpr const char *SuspensionRef = "suspension-ref";
 inline constexpr const char *NonreentrantCall = "nonreentrant-call";
 /// Meta-rule: malformed PARCS_HOT region annotations (unclosed/unopened).
 inline constexpr const char *HotPathRegion = "hot-path-region";
-/// PDES safety: PARCS_HOT regions execute on every partition worker
-/// concurrently, so they must only touch partition-owned state.  Mutable
-/// function-local statics and process-wide singleton accessors
-/// (`X::global()` / `X::instance()`) are shared across partitions: a data
-/// race at worst, a nondeterministic interleaving leaking into exports at
-/// best.
+/// PARCS_HOT regions touch no process-wide mutable state: mutable
+/// function-local statics and singleton accessors (`X::global()` /
+/// `X::instance()`) are hidden shared state whose cost and contents the
+/// region's owner does not control.  Fold such updates outside the hot
+/// loop.
 inline constexpr const char *CrossPartitionSharedState =
     "cross-partition-shared-state";
 /// Interprocedural (lint/Analysis.h): a cycle of synchronous invokes

@@ -158,8 +158,7 @@ ErrorOr<ModelSet> parseModelJson(std::string_view Json) {
     return Error(ErrorCode::MalformedMessage, "model file is not JSON");
   const Value *Doc = &Root;
   if (!Doc->field("models")) {
-    // Accept a wrapper document (BENCH_sim_kernel.json) whose "model"
-    // member is the model JSON.
+    // Accept a wrapper document whose "model" member is the model JSON.
     const Value *Nested = Root.field("model");
     if (Nested && Nested->isObject() && Nested->field("models"))
       Doc = Nested;

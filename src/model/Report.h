@@ -7,10 +7,9 @@
 /// \file
 /// A ModelSet is every metric of a sweep fitted against one parameter --
 /// what `parcs-model fit` produces and what the regression gate consumes.
-/// It round-trips through a small JSON form (the same shape embedded as
-/// the "model" section of BENCH_sim_kernel.json), and renders as a
-/// byte-stable text report: fixed column layout, %.6g numbers, metrics in
-/// sorted order, so repeated fits of the same sweep diff empty.
+/// It round-trips through a small JSON form, and renders as a byte-stable
+/// text report: fixed column layout, %.6g numbers, metrics in sorted
+/// order, so repeated fits of the same sweep diff empty.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +45,8 @@ std::string textReport(const ModelSet &Set);
 std::string modelJson(const ModelSet &Set);
 
 /// Parses modelJson output.  Also accepts any JSON object with a "model"
-/// member of that shape (so `parcs-model check` can read the fitted
-/// envelope straight out of BENCH_sim_kernel.json).
+/// member of that shape (so `parcs-model check` can read a fitted
+/// envelope embedded in a larger bench report).
 ErrorOr<ModelSet> parseModelJson(std::string_view Json);
 
 /// Reads \p Path and calls parseModelJson; falls back to fitting the file

@@ -48,45 +48,24 @@ bool Network::isBound(int NodeId, int Port) const {
   return Ports.count({NodeId, Port}) != 0;
 }
 
-sim::SimTime wiremath::packetTime(const NetConfig &Config, size_t Bytes) {
+sim::SimTime Network::packetTime(size_t Bytes) const {
   double Seconds = static_cast<double>(Bytes) * 8.0 / Config.LinkBitsPerSecond;
   return sim::SimTime::fromSecondsF(Seconds);
 }
 
-sim::SimTime wiremath::wireTime(const NetConfig &Config, size_t PayloadBytes) {
+sim::SimTime Network::wireTime(size_t PayloadBytes) const {
   size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
   size_t Packets = PayloadBytes == 0 ? 1 : (PayloadBytes + Mss - 1) / Mss;
   size_t TotalBytes =
       PayloadBytes + Packets * static_cast<size_t>(Config.FrameOverheadBytes);
-  return packetTime(Config, TotalBytes);
-}
-
-sim::SimTime wiremath::firstPacketTime(const NetConfig &Config,
-                                       size_t PayloadBytes) {
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
-  size_t FirstPayload = PayloadBytes < Mss ? PayloadBytes : Mss;
-  return packetTime(Config, FirstPayload +
-                                static_cast<size_t>(Config.FrameOverheadBytes));
-}
-
-int64_t wiremath::minLatencyNs(const NetConfig &Config) {
-  int64_t Floor = (Config.SwitchLatency + firstPacketTime(Config, 0) +
-                   wireTime(Config, 0))
-                      .nanosecondsCount();
-  assert(Floor > 0 && "degenerate config: zero cross-node latency");
-  return Floor;
-}
-
-sim::SimTime Network::packetTime(size_t Bytes) const {
-  return wiremath::packetTime(Config, Bytes);
-}
-
-sim::SimTime Network::wireTime(size_t PayloadBytes) const {
-  return wiremath::wireTime(Config, PayloadBytes);
+  return packetTime(TotalBytes);
 }
 
 sim::SimTime Network::firstPacketTime(size_t PayloadBytes) const {
-  return wiremath::firstPacketTime(Config, PayloadBytes);
+  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t FirstPayload = PayloadBytes < Mss ? PayloadBytes : Mss;
+  return packetTime(FirstPayload +
+                    static_cast<size_t>(Config.FrameOverheadBytes));
 }
 
 void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,

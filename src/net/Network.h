@@ -67,25 +67,6 @@ struct NetConfig {
   int DropEveryNth = 0;
 };
 
-/// Wire-timing math shared by the serial Network and the PDES fabric
-/// (net/PdesFabric.h): packetisation and latency as pure functions of the
-/// config, so both fabrics price a byte stream identically and the PDES
-/// lookahead is derived from the same constants the serial model bills.
-namespace wiremath {
-/// Serialisation time of \p Bytes on the link.
-sim::SimTime packetTime(const NetConfig &Config, size_t Bytes);
-/// Time the wire is occupied by \p PayloadBytes (packetised, with framing).
-sim::SimTime wireTime(const NetConfig &Config, size_t PayloadBytes);
-/// Serialisation time of the first packet (cut-through pipelining offset).
-sim::SimTime firstPacketTime(const NetConfig &Config, size_t PayloadBytes);
-/// Conservative lower bound (ns) on the send-to-deliver latency of any
-/// cross-node message under \p Config: switch latency plus the
-/// empty-payload first-packet and wire-drain floors.  Always positive
-/// (framing overhead alone takes nonzero wire time), so it is a valid PDES
-/// window width: no message can cross partitions faster than this.
-int64_t minLatencyNs(const NetConfig &Config);
-} // namespace wiremath
-
 /// Interface the fault-injection subsystem (src/fault) implements.  The
 /// fabric consults the installed hook at well-defined points; a null hook
 /// (the default) leaves the event stream and wire bytes exactly as before,

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The allocation-free calendar-queue event kernel, extracted from the
-/// single-threaded Simulator so the PDES executor can own one kernel *per
-/// partition* (see sim/Partition.h).  A SimKernel is the pending-event set
-/// plus the virtual clock and sequence counter that define pop order:
+/// The allocation-free calendar-queue event kernel behind sim::Simulator.
+/// A SimKernel is the pending-event set plus the virtual clock and
+/// sequence counter that define pop order:
 ///
 ///  - events scheduled at exactly the current time go to a FIFO fast lane
 ///    (push order there is already (time, seq) order);
@@ -22,10 +21,7 @@
 /// Pop order is strictly (time, sequence); the unique key makes the order
 /// independent of heap layout and of which lane an event landed in, so a
 /// kernel's event stream is bit-for-bit reproducible.  The kernel is
-/// single-threaded by contract: under the parallel executor every kernel is
-/// owned by exactly one partition and only ever touched by the thread
-/// currently running that partition (mailbox merges happen at window
-/// barriers, never concurrently with execution).
+/// single-threaded by contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,11 +135,6 @@ public:
   /// Time of the earliest pending event; only valid when pendingCount() > 0.
   /// May advance the calendar window (deterministically) to find it.
   int64_t earliestTimeNs();
-
-  /// earliestTimeNs() that is safe on an empty kernel (INT64_MAX then).
-  int64_t earliestOrMaxNs() {
-    return PendingCount == 0 ? INT64_MAX : earliestTimeNs();
-  }
 
   /// Bookkeeping hook for callers whose callable fell off the inline
   /// buffer (the template schedule path detects this at compile time).

@@ -31,14 +31,10 @@ static long long simulatorNowNs(void *Ctx) {
   return static_cast<const Simulator *>(Ctx)->now().nanosecondsCount();
 }
 
-Simulator::Simulator(Options Opts)
-    : OwnsLogClock(Opts.InstallLogClock),
-      SampleDepth(Opts.SampleQueueDepth) {
+Simulator::Simulator() {
   // The newest simulator becomes the log time source; the previous one is
-  // restored when this simulator is destroyed.  Partition simulators under
-  // the parallel executor skip this -- the log clock is process-global.
-  if (OwnsLogClock)
-    PrevLogClock = setLogClock({simulatorNowNs, this});
+  // restored when this simulator is destroyed.
+  PrevLogClock = setLogClock({simulatorNowNs, this});
 }
 
 void Simulator::reapDetached() {
@@ -57,12 +53,9 @@ void Simulator::reapDetached() {
 }
 
 Simulator::~Simulator() {
-  if (OwnsLogClock)
-    setLogClock(PrevLogClock);
+  setLogClock(PrevLogClock);
   reapDetached();
-  // Fold this run's scheduler counters into the end-of-run report.  Under
-  // the parallel executor, partition simulators are destroyed serially in
-  // partition order, so the folded totals are thread-count independent.
+  // Fold this run's scheduler counters into the end-of-run report.
   const SchedulerCounters &C = Kernel.counters();
   metrics::Registry &Reg = metrics::Registry::global();
   Reg.counter("sim.events").add(EventCount);
@@ -133,19 +126,10 @@ bool Simulator::step() {
   ++EventCount;
   // The in-register modulus test is all the common path pays; the trace
   // flag is only consulted on the sampled iterations, out of line.
-  if ((EventCount & 1023) == 0 && SampleDepth) [[unlikely]]
+  if ((EventCount & 1023) == 0) [[unlikely]]
     sampleQueueDepth(Node->AtNs);
   execute(Node);
   return true;
-}
-
-uint64_t Simulator::runBefore(int64_t EndNs) {
-  uint64_t Executed = 0;
-  while (Kernel.pendingCount() > 0 && Kernel.earliestTimeNs() < EndNs) {
-    step();
-    ++Executed;
-  }
-  return Executed;
 }
 
 // PARCS_HOT_END

@@ -26,12 +26,11 @@
 ///    (FIFO fast lane + time buckets + overflow heap, free-list recycled
 ///    nodes: zero allocations per event in steady state).
 ///
-/// The calendar queue, clock and sequence counter live in sim/SimKernel.h
-/// so the PDES parallel executor (sim/ParallelExecutor.h) can instantiate
-/// one kernel per partition; this class binds a kernel to the coroutine
-/// runtime (spawn/reap, delay awaitable, log clock) and remains the
-/// single-threaded front door the rest of the library uses.  See
-/// docs/perf.md for the design notes and bench/sim_kernel for the numbers.
+/// The calendar queue, clock and sequence counter live in sim/SimKernel.h;
+/// this class binds that kernel to the coroutine runtime (spawn/reap, delay
+/// awaitable, log clock) and is the front door the rest of the library
+/// uses.  See docs/perf.md for the design notes and bench/sim_kernel for
+/// the numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,19 +54,7 @@ namespace parcs::sim {
 /// Single-threaded virtual-time event loop.
 class Simulator {
 public:
-  /// Construction knobs.  Partition simulators under the parallel executor
-  /// disable the log-clock install: the global log clock is process-wide
-  /// state, and only the executor's lead simulator may own it.
-  struct Options {
-    bool InstallLogClock = true;
-    /// Periodic queue-depth trace sampling writes the simulator-wide (pid
-    /// 0) trace ring, which partitions do not own; the executor disables
-    /// it for partition simulators.
-    bool SampleQueueDepth = true;
-  };
-
-  Simulator() : Simulator(Options{}) {}
-  explicit Simulator(Options Opts);
+  Simulator();
   Simulator(const Simulator &) = delete;
   Simulator &operator=(const Simulator &) = delete;
   ~Simulator();
@@ -155,20 +142,8 @@ public:
   /// \p Until even if the queue drains earlier).
   void runUntil(SimTime Until);
 
-  /// Runs events with timestamp strictly < \p EndNs, leaving the clock at
-  /// the last executed event.  The PDES window loop: events at the window
-  /// end belong to the next window.  Returns events executed.
-  uint64_t runBefore(int64_t EndNs);
-
-  /// Time (ns) of the earliest pending event, INT64_MAX when idle.  The
-  /// PDES executor uses this to place the next window.
-  int64_t earliestNs() { return Kernel.earliestOrMaxNs(); }
-
   /// Number of pending events.
   size_t pendingCount() const { return Kernel.pendingCount(); }
-
-  /// The underlying event kernel (clock + calendar queue).
-  SimKernel &kernel() { return Kernel; }
 
   /// Scheduler observability counters accumulated since construction.
   const SchedulerCounters &counters() const { return Kernel.counters(); }
@@ -188,11 +163,6 @@ private:
   SimKernel Kernel;
   uint64_t EventCount = 0;
 
-  /// Whether this simulator installed itself as the log time source (and
-  /// must restore PrevLogClock on destruction).
-  bool OwnsLogClock = false;
-  /// Whether step() samples queue depth into the shared trace ring.
-  bool SampleDepth = true;
   /// Log clock that was active before this simulator installed itself as
   /// the time source; restored on destruction (simulators nest in tests).
   LogClock PrevLogClock;

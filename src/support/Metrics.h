@@ -136,9 +136,8 @@ private:
 // nanoseconds of sim-time" -- the question live SLO evaluation and online
 // controllers need.  Both are rings of fixed-width slots keyed by the
 // *sample timestamp*, not by any wall clock, so results are a pure
-// function of the recorded (time, value) stream: byte-identical at every
-// PARCS_SIM_THREADS value, provided each instance is fed from one
-// partition (give each node its own, as the telemetry agents do).
+// function of the recorded (time, value) stream, byte-identical across
+// repeated runs.
 //
 // Slots are reclaimed lazily: each slot remembers which absolute slot
 // index it last held, and a reader simply ignores slots whose index has

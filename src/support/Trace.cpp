@@ -86,17 +86,6 @@ public:
     Tracks.clear();
   }
 
-  /// See trace::reserveNodes.  Pre-sizes only the ring sets the current
-  /// mode feeds, so a flight-only run never allocates the big rings.
-  void reserve(int MaxNodeId) {
-    for (int Node = -1; Node <= MaxNodeId; ++Node) {
-      if (detail::Mode & detail::ModeTrace)
-        ring(Rings, Cap, Node);
-      if (detail::Mode & detail::ModeFlight)
-        ring(FlightRings, FlightCap, Node);
-    }
-  }
-
   std::string exportJson() const { return render(Rings, /*WarnWrap=*/true); }
   std::string exportFlightJson() const {
     return render(FlightRings, /*WarnWrap=*/false);
@@ -417,11 +406,6 @@ void setRingCapacity(size_t Events) {
 
 void setFlightCapacity(size_t Events) {
   Recorder::instance().setFlightCapacity(Events);
-}
-
-void reserveNodes(int MaxNodeId) {
-  if (detail::Mode)
-    Recorder::instance().reserve(MaxNodeId);
 }
 
 int track(int Node, std::string_view Name) {

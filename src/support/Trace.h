@@ -142,15 +142,6 @@ void setRingCapacity(size_t Events);
 /// Sets the per-node flight-ring capacity (default 512 events).
 void setFlightCapacity(size_t Events);
 
-/// Pre-creates the rings for nodes 0..\p MaxNodeId (and the simulator's
-/// pid-0 ring).  Required before recording from parallel PDES workers:
-/// rings are created lazily on first record, and that creation mutates the
-/// shared ring table, which is only safe while execution is still serial.
-/// After this call, concurrent record()s to *distinct* nodes touch disjoint
-/// pre-sized rings.  No-op when tracing is disabled; empty pre-created
-/// rings are not exported, so exports are unchanged for serial runs.
-void reserveNodes(int MaxNodeId);
-
 /// Registers a named thread-track under node \p Node (-1 = the simulator
 /// process) and returns its tid.  Returns 0 (the node's "main" track) when
 /// tracing is disabled, so call sites may register unconditionally.

@@ -83,58 +83,7 @@ bool envTelemetrySpec(TelemetrySpec &Out) {
   return false;
 }
 
-//===----------------------------------------------------------------------===//
-// Fabric abstraction
-//===----------------------------------------------------------------------===//
-
-/// The three operations the plane needs from either fabric.  Heartbeats
-/// only ever send from the node they run on, matching both fabrics'
-/// send-from-self contract.
-class Plane::FabricIf {
-public:
-  virtual ~FabricIf() = default;
-  virtual int nodeCount() = 0;
-  virtual sim::Simulator &simOf(int Node) = 0;
-  virtual sim::Channel<net::Message> &bind(int Node, int Port) = 0;
-  virtual void send(int Src, int Dst, int Port,
-                    std::vector<uint8_t> Payload) = 0;
-};
-
 namespace {
-
-class SerialFabric final : public Plane::FabricIf {
-public:
-  explicit SerialFabric(net::Network &Net) : Net(Net) {}
-  int nodeCount() override { return Net.nodeCount(); }
-  sim::Simulator &simOf(int) override { return Net.sim(); }
-  sim::Channel<net::Message> &bind(int Node, int Port) override {
-    return Net.bind(Node, Port);
-  }
-  void send(int Src, int Dst, int Port,
-            std::vector<uint8_t> Payload) override {
-    Net.send(Src, Dst, Port, std::move(Payload));
-  }
-
-private:
-  net::Network &Net;
-};
-
-class PdesFabricIf final : public Plane::FabricIf {
-public:
-  explicit PdesFabricIf(net::PdesFabric &Fab) : Fab(Fab) {}
-  int nodeCount() override { return Fab.nodeCount(); }
-  sim::Simulator &simOf(int Node) override { return Fab.simOf(Node); }
-  sim::Channel<net::Message> &bind(int Node, int Port) override {
-    return Fab.bind(Node, Port);
-  }
-  void send(int Src, int Dst, int Port,
-            std::vector<uint8_t> Payload) override {
-    Fab.send(Src, Dst, Port, std::move(Payload));
-  }
-
-private:
-  net::PdesFabric &Fab;
-};
 
 //===----------------------------------------------------------------------===//
 // JSON helpers (same conventions as the metrics report: %.6g doubles)
@@ -169,20 +118,11 @@ void appendInt(std::string &Out, long long V) {
 //===----------------------------------------------------------------------===//
 
 Plane::Plane(net::Network &Net, TelemetrySpec S)
-    : Spec(std::move(S)), Fabric(std::make_unique<SerialFabric>(Net)) {
-  start();
-}
-
-Plane::Plane(net::PdesFabric &Fab, TelemetrySpec S)
-    : Spec(std::move(S)), Fabric(std::make_unique<PdesFabricIf>(Fab)) {
-  start();
-}
-
-void Plane::start() {
+    : Spec(std::move(S)), Net(Net) {
   assert(Spec.WindowNs > 0 && "telemetry window must be positive");
   if (Spec.FlushNs <= 0)
     Spec.FlushNs = Spec.WindowNs;
-  int Nodes = Fabric->nodeCount();
+  int Nodes = Net.nodeCount();
   assert(Spec.CollectorNode >= 0 && Spec.CollectorNode < Nodes &&
          "collector node out of range");
   Agents.resize(size_t(Nodes));
@@ -195,9 +135,8 @@ void Plane::start() {
         std::max<int64_t>(1, (S.WindowNs + Spec.WindowNs - 1) / Spec.WindowNs);
     Slos.push_back(std::move(St));
   }
-  sim::Channel<net::Message> &Chan =
-      Fabric->bind(Spec.CollectorNode, Spec.Port);
-  Fabric->simOf(Spec.CollectorNode).spawn(collectorLoop(Chan));
+  sim::Channel<net::Message> &Chan = Net.bind(Spec.CollectorNode, Spec.Port);
+  Net.sim().spawn(collectorLoop(Chan));
   PrevSink = setSink(this);
 }
 
@@ -207,7 +146,7 @@ Plane::~Plane() {
 }
 
 //===----------------------------------------------------------------------===//
-// Agent side (runs on the recording node's partition)
+// Agent side (per-node state)
 //===----------------------------------------------------------------------===//
 
 Plane::SeriesDelta &Plane::deltaFor(int Node, const char *Series,
@@ -240,8 +179,8 @@ void Plane::arm(int Node, int64_t AtNs) {
   // Heartbeats stay on the FlushNs grid, so two runs that record at the
   // same sim-times flush at the same sim-times whatever the interleaving.
   int64_t T = (std::max<int64_t>(0, AtNs) / Spec.FlushNs + 1) * Spec.FlushNs;
-  Fabric->simOf(Node).scheduleAt(sim::SimTime::nanoseconds(T),
-                                 [this, Node, T] { heartbeat(Node, T); });
+  Net.sim().scheduleAt(sim::SimTime::nanoseconds(T),
+                       [this, Node, T] { heartbeat(Node, T); });
 }
 
 void Plane::heartbeat(int Node, int64_t NowNs) {
@@ -262,8 +201,8 @@ void Plane::heartbeat(int Node, int64_t NowNs) {
   A.Armed = !A.Pending.empty();
   if (A.Armed) {
     int64_t T = NowNs + Spec.FlushNs;
-    Fabric->simOf(Node).scheduleAt(sim::SimTime::nanoseconds(T),
-                                   [this, Node, T] { heartbeat(Node, T); });
+    Net.sim().scheduleAt(sim::SimTime::nanoseconds(T),
+                         [this, Node, T] { heartbeat(Node, T); });
   }
 
   serial::OutputArchive Ar;
@@ -291,11 +230,11 @@ void Plane::heartbeat(int Node, int64_t NowNs) {
   }
   // Ordinary framed traffic: pays wire time, competes with the workload,
   // and is subject to the fault plan like any other message.
-  Fabric->send(Node, Spec.CollectorNode, Spec.Port, Ar.take());
+  Net.send(Node, Spec.CollectorNode, Spec.Port, Ar.take());
 }
 
 //===----------------------------------------------------------------------===//
-// Collector side (runs on the collector node's partition)
+// Collector side
 //===----------------------------------------------------------------------===//
 
 sim::Task<void> Plane::collectorLoop(sim::Channel<net::Message> &Chan) {
@@ -370,7 +309,7 @@ void Plane::onSnapshot(const net::Message &Msg) {
 }
 
 void Plane::advanceFrontier() {
-  // Conservative frontier, PDES-style: an *arrived* heartbeat at time H
+  // Conservative frontier: an *arrived* heartbeat at time H
   // promises that everything the node will ever ship for windows below
   // window(H) has already arrived (parked or armed, its later data lands
   // at or after H).  A node never heard from promises nothing -- it may

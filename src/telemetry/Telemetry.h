@@ -17,10 +17,9 @@
 /// window roll.
 ///
 /// Everything is keyed on sim-time, so the exported time-series and the
-/// slo.breach/slo.recover instants are byte-identical across
-/// PARCS_SIM_THREADS values and across repeated runs:
+/// slo.breach/slo.recover instants are byte-identical across repeated
+/// runs:
 ///
-///  - agent state is touched only by its node's partition;
 ///  - merging is commutative (bucket-wise adds), so snapshot arrival
 ///    interleaving cannot change the merged series;
 ///  - windows are finalized in index order once the *frontier* -- the
@@ -56,7 +55,6 @@
 #define PARCS_TELEMETRY_TELEMETRY_H
 
 #include "net/Network.h"
-#include "net/PdesFabric.h"
 #include "support/Metrics.h"
 #include "support/TelemetrySink.h"
 #include "telemetry/Slo.h"
@@ -64,7 +62,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,20 +98,19 @@ bool envTelemetrySpec(TelemetrySpec &Out);
 class Plane : public Sink {
 public:
   Plane(net::Network &Net, TelemetrySpec Spec);
-  Plane(net::PdesFabric &Fab, TelemetrySpec Spec);
   ~Plane() override;
 
   Plane(const Plane &) = delete;
   Plane &operator=(const Plane &) = delete;
 
-  // Sink: called by instrumented layers on the recording node's partition.
+  // Sink: called by instrumented layers for the recording node.
   void count(int Node, const char *Series, int64_t AtNs,
              uint64_t N) override;
   void record(int Node, const char *Series, int64_t AtNs,
               int64_t Value) override;
 
-  /// Folds windows still pending in the agents (serially, in node order)
-  /// and finalizes every remaining window -- evaluating SLOs for each --
+  /// Folds windows still pending in the agents (in node order) and
+  /// finalizes every remaining window -- evaluating SLOs for each --
   /// then writes the export file when the spec names one.  Idempotent;
   /// the destructor calls it.  Call only after run() has returned.
   void finish();
@@ -131,12 +127,11 @@ public:
   std::string modelPointsJson();
 
   /// Installs \p Cb to be invoked at every SLO state-machine edge (breach
-  /// and recover) during the live run, on the collector node's partition,
-  /// at the deterministic window-finalization time.  Edges found by the
-  /// teardown finish() pass do NOT fire the callback -- the run is over,
-  /// nothing can act on them.  This is the control-plane hook the SCOOPP
-  /// rebalancer consumes to trigger live object migration.  Pass nullptr
-  /// to uninstall.
+  /// and recover) during the live run, at the deterministic
+  /// window-finalization time.  Edges found by the teardown finish() pass
+  /// do NOT fire the callback -- the run is over, nothing can act on them.
+  /// This is the control-plane hook the SCOOPP rebalancer consumes to
+  /// trigger live object migration.  Pass nullptr to uninstall.
   using SloEdgeCallback =
       std::function<void(const SloSpec &Spec, bool Breach, int64_t AtNs)>;
   void onSloEdge(SloEdgeCallback Cb) { EdgeCallback = std::move(Cb); }
@@ -147,10 +142,6 @@ public:
   uint64_t corruptSnapshots() const { return CorruptSnapshots; }
 
   const TelemetrySpec &spec() const { return Spec; }
-
-  /// Fabric-agnostic view of Network / PdesFabric (implemented in the
-  /// .cpp; public only so those implementations can derive from it).
-  class FabricIf;
 
 private:
   /// One series' contribution to one window: counter increments and/or
@@ -167,7 +158,7 @@ private:
   };
   using WindowDeltas = std::map<std::string, SeriesDelta, std::less<>>;
 
-  /// Per-node accumulation, touched only by that node's partition.
+  /// Per-node accumulation.
   struct Agent {
     std::map<int64_t, WindowDeltas> Pending; ///< window index -> deltas.
     uint64_t NextSeq = 1;
@@ -188,7 +179,6 @@ private:
     std::vector<Edge> Edges;
   };
 
-  void start();
   sim::Task<void> collectorLoop(sim::Channel<net::Message> &Chan);
   SeriesDelta &deltaFor(int Node, const char *Series, int64_t AtNs);
   void arm(int Node, int64_t AtNs);
@@ -199,12 +189,12 @@ private:
   void evaluateSlos(int64_t Window);
 
   TelemetrySpec Spec;
-  std::unique_ptr<FabricIf> Fabric;
+  net::Network &Net;
   std::vector<Agent> Agents;
   Sink *PrevSink = nullptr;
 
-  // Collector state (touched only by the collector node's partition
-  // during the run, then serially by finish()).
+  // Collector state (fed by snapshots during the run, then by
+  // finish()).
   std::map<std::string, std::map<int64_t, SeriesDelta>, std::less<>> Merged;
   std::vector<int64_t> LastHeartbeatNs; ///< Per node; -1 = never heard.
   int64_t FirstOpenWindow = 0;          ///< Windows below this are final.

@@ -39,26 +39,9 @@ public:
   }
   int nodeCount() const { return static_cast<int>(Nodes.size()); }
 
-  /// PDES partition map: how many partitions the cluster's nodes are split
-  /// into for parallel execution, and which partition owns a node (the
-  /// same round-robin assignment net::PdesFabric uses).  Purely metadata
-  /// at this layer -- the serial simulator ignores it -- but placement and
-  /// stats consult it so cross-partition traffic is visible (see
-  /// ObjectManager's om.placements_cross_partition counter).
-  void setPartitionCount(int Count) {
-    assert(Count >= 1 && "need at least one partition");
-    PartitionCount = Count;
-  }
-  int partitionCount() const { return PartitionCount; }
-  int partitionOf(int NodeId) const {
-    assert(NodeId >= 0 && NodeId < nodeCount() && "node id out of range");
-    return NodeId % PartitionCount;
-  }
-
 private:
   std::unique_ptr<sim::Simulator> Sim;
   std::vector<std::unique_ptr<Node>> Nodes;
-  int PartitionCount = 1;
 };
 
 } // namespace parcs::vm

@@ -451,10 +451,11 @@ constexpr const char *ChaosFarmPlan =
     "seed(42);crash(2,300ms,600ms);loss(0.01);corrupt(0.005)";
 
 apps::ray::FarmResult runChaosFarm(
-    const std::shared_ptr<const apps::ray::RayJob> &Job) {
+    const std::shared_ptr<const apps::ray::RayJob> &Job,
+    const char *Plan = ChaosFarmPlan) {
   apps::ray::FarmConfig Config;
   Config.Processors = 6; // 3 dual-core nodes, so "node 2" exists.
-  Config.Faults = mustParse(ChaosFarmPlan);
+  Config.Faults = mustParse(Plan);
   return apps::ray::runScooppRayFarm(Job, Config);
 }
 
@@ -475,26 +476,36 @@ TEST(ChaosTest, ChaosFarmIsByteIdenticallyReproducible) {
   auto Job = chaosJob();
   metrics::Registry &Reg = metrics::Registry::global();
 
-  auto tracedRun = [&] {
+  auto tracedRun = [&](const char *Plan) {
     Reg.reset();
     trace::reset();
     trace::setEnabled(true);
-    apps::ray::FarmResult Farm = runChaosFarm(Job);
+    apps::ray::FarmResult Farm = runChaosFarm(Job, Plan);
     trace::setEnabled(false);
     std::string Trace = trace::exportJson();
     trace::reset();
-    return std::make_tuple(Farm, Reg.textReport(), std::move(Trace));
+    return std::make_tuple(Farm, Reg.textReport(), Reg.jsonReport(),
+                           std::move(Trace));
   };
 
-  auto [FarmA, MetricsA, TraceA] = tracedRun();
-  auto [FarmB, MetricsB, TraceB] = tracedRun();
-  Reg.reset();
+  // The chaos plan, and the same farm fault-free: both replay exactly.
+  for (const char *Plan : {ChaosFarmPlan, ""}) {
+    SCOPED_TRACE(std::string("plan: \"") + Plan + "\"");
+    auto [FarmA, MetricsA, JsonA, TraceA] = tracedRun(Plan);
+    auto [FarmB, MetricsB, JsonB, TraceB] = tracedRun(Plan);
+    Reg.reset();
 
-  EXPECT_EQ(FarmA.Elapsed, FarmB.Elapsed);
-  EXPECT_EQ(FarmA.Checksum, FarmB.Checksum);
-  EXPECT_EQ(FarmA.RowsRecovered, FarmB.RowsRecovered);
-  EXPECT_EQ(MetricsA, MetricsB) << "metrics must be byte-identical";
-  EXPECT_EQ(TraceA, TraceB) << "trace exports must be byte-identical";
+    EXPECT_EQ(FarmA.Elapsed, FarmB.Elapsed);
+    EXPECT_EQ(FarmA.Checksum, FarmB.Checksum);
+    EXPECT_EQ(FarmA.RowsRecovered, FarmB.RowsRecovered);
+    EXPECT_EQ(MetricsA, MetricsB) << "metrics must be byte-identical";
+    EXPECT_EQ(JsonA, JsonB) << "metrics JSON must be byte-identical";
+    EXPECT_EQ(TraceA, TraceB) << "trace exports must be byte-identical";
+    EXPECT_NE(TraceA.find("net.transfer"), std::string::npos)
+        << "expected network transfer spans in the trace";
+    EXPECT_NE(JsonA.find("net.messages_delivered"), std::string::npos);
+    EXPECT_NE(JsonA.find("net.frames"), std::string::npos);
+  }
 }
 
 TEST(ChaosTest, FaultFreeFarmReportsNoRecovery) {

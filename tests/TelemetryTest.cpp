@@ -6,17 +6,15 @@
 //
 // The live telemetry plane end to end: spec/SLO grammar parsing, cluster
 // series assembled from in-band snapshots, the determinism contract (the
-// export and the SLO breach timeline are byte-identical across PDES
-// thread counts and across repeated runs), SLO breach/recover edges, the
-// crash flight recorder, and the parcs_top rendering.
+// export and the SLO breach timeline are byte-identical across repeated
+// runs), SLO breach/recover edges, the crash flight recorder, and the
+// parcs_top rendering.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fault/FaultPlan.h"
 #include "fault/Injector.h"
 #include "net/Network.h"
-#include "net/PdesFabric.h"
-#include "sim/ParallelExecutor.h"
 #include "support/Metrics.h"
 #include "support/PostMortem.h"
 #include "support/TelemetrySink.h"
@@ -211,126 +209,52 @@ TEST(TelemetryPlaneTest, RepeatedRunsExportIdenticalJson) {
 }
 
 //===----------------------------------------------------------------------===//
-// PDES: byte-identity across thread counts
+// SLO breach and recovery
 //===----------------------------------------------------------------------===//
 
-/// The PdesTest farm shape with telemetry instrumentation: master scatters
-/// tasks, workers record per-task latency on their own node.  Returns the
-/// plane's export (and, via \p TraceJson, the trace with the slo.breach
-/// instants) for byte-comparison across thread counts.
-std::string farmTelemetryAt(int Threads, std::string *TraceJson) {
+/// One run of the SLO scenario with tracing on; returns the plane export
+/// and, via \p TraceJson, the trace carrying the slo.breach/slo.recover
+/// instants.
+std::string sloRun(std::string *TraceJson) {
   trace::reset();
   trace::setEnabled(true);
-  constexpr int Nodes = 8;
-  constexpr int TaskPort = 7100;
-  net::NetConfig Cfg;
+  std::string Json;
+  {
+    vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+    net::Network Net(Machines.sim(), 2);
+    telemetry::TelemetrySpec Spec;
+    Spec.WindowNs = 1000;
+    telemetry::SloSpec Slo;
+    EXPECT_TRUE(telemetry::parseSloSpec(
+        "slo(op.latency, p99 < 500ns, window=2us)", Slo));
+    Spec.Slos.push_back(Slo);
+    telemetry::Plane Plane(Net, Spec);
 
-  sim::PdesConfig PC;
-  PC.Partitions = 4;
-  PC.Threads = Threads;
-  PC.LookaheadNs = net::PdesFabric::lookaheadNs(Cfg);
-  sim::ParallelExecutor Exec(PC);
-  net::PdesFabric Fab(Exec, Nodes, Cfg);
-
-  telemetry::TelemetrySpec Spec;
-  Spec.WindowNs = 10'000; // 10us windows.
-  telemetry::SloSpec Slo;
-  // Worker "shade" latency is 3..7us; a 5us p99 threshold over a 20us SLO
-  // window produces real breach edges as slow tasks cluster.
-  EXPECT_TRUE(telemetry::parseSloSpec(
-      "slo(task.latency, p99 < 5us, window=20us)", Slo));
-  Spec.Slos.push_back(Slo);
-  telemetry::Plane Plane(Fab, Spec);
-
-  std::vector<sim::Channel<net::Message> *> WorkerIn(Nodes);
-  for (int W = 1; W < Nodes; ++W)
-    WorkerIn[W] = &Fab.bind(W, TaskPort);
-
-  struct Drivers {
-    static sim::Task<void> master(net::PdesFabric &Fab, int TaskPort) {
-      int Workers = Fab.nodeCount() - 1;
-      for (uint32_t T = 0; T < 42; ++T) {
-        Fab.send(0, 1 + int(T) % Workers, TaskPort,
-                 {uint8_t(T), uint8_t(T >> 8), 0, 0});
-        co_await Fab.simOf(0).delay(sim::SimTime::microseconds(1));
+    struct Driver {
+      // Slow (5000ns) samples for 6us, then fast (100ns) for another 10us:
+      // the p99-over-2us burns through the threshold, then recovers once
+      // the slow windows age out of the SLO span.
+      static sim::Task<void> run(net::Network &Net) {
+        for (int T = 0; T < 16; ++T) {
+          co_await Net.sim().delay(sim::SimTime::nanoseconds(1000));
+          int64_t Now = Net.sim().now().nanosecondsCount();
+          telemetry::record(1, "op.latency", Now, T < 6 ? 5000 : 100);
+        }
       }
-    }
-    static sim::Task<void> worker(net::PdesFabric &Fab, int W,
-                                  sim::Channel<net::Message> &In) {
-      while (true) {
-        net::Message Msg = co_await In.recv();
-        uint32_t T = uint32_t(Msg.Payload[0]) | (uint32_t(Msg.Payload[1]) << 8);
-        int64_t Start = Fab.simOf(W).now().nanosecondsCount();
-        co_await Fab.simOf(W).delay(
-            sim::SimTime::microseconds(int64_t(3 + T % 5)));
-        int64_t Now = Fab.simOf(W).now().nanosecondsCount();
-        telemetry::count(W, "task.done", Now);
-        telemetry::record(W, "task.latency", Now, Now - Start);
-      }
-    }
-  };
-
-  Fab.simOf(0).spawn(Drivers::master(Fab, TaskPort));
-  for (int W = 1; W < Nodes; ++W)
-    Fab.simOf(W).spawn(Drivers::worker(Fab, W, *WorkerIn[size_t(W)]));
-
-  Exec.run();
-  std::string Json = Plane.exportJson();
-  if (TraceJson)
-    *TraceJson = trace::exportJson();
+    };
+    Net.sim().spawn(Driver::run(Net));
+    Net.sim().run();
+    Json = Plane.exportJson();
+  }
+  *TraceJson = trace::exportJson();
   trace::setEnabled(false);
   trace::reset();
   return Json;
 }
 
-TEST(TelemetryPdesTest, ExportByteIdenticalAcrossThreadCounts) {
-  std::string BaseTrace;
-  std::string Base = farmTelemetryAt(1, &BaseTrace);
-  EXPECT_NE(Base.find("task.latency"), std::string::npos);
-  EXPECT_NE(Base.find("task.done"), std::string::npos);
-  for (int Threads : {2, 4, 8}) {
-    std::string Trace;
-    std::string Json = farmTelemetryAt(Threads, &Trace);
-    EXPECT_EQ(Json, Base) << "telemetry export diverged at Threads="
-                          << Threads;
-    EXPECT_EQ(Trace, BaseTrace) << "trace (slo instants) diverged at Threads="
-                                << Threads;
-  }
-  // Repeated run at the same thread count is also bit-identical.
-  std::string Again = farmTelemetryAt(1, nullptr);
-  EXPECT_EQ(Again, Base);
-}
-
-//===----------------------------------------------------------------------===//
-// SLO breach and recovery
-//===----------------------------------------------------------------------===//
-
 TEST(TelemetrySloTest, BreachAndRecoverEdgesFire) {
-  vm::Cluster Machines(2, vm::VmKind::MonoVm117);
-  net::Network Net(Machines.sim(), 2);
-  telemetry::TelemetrySpec Spec;
-  Spec.WindowNs = 1000;
-  telemetry::SloSpec Slo;
-  ASSERT_TRUE(telemetry::parseSloSpec(
-      "slo(op.latency, p99 < 500ns, window=2us)", Slo));
-  Spec.Slos.push_back(Slo);
-  telemetry::Plane Plane(Net, Spec);
-
-  struct Driver {
-    // Slow (5000ns) samples for 6us, then fast (100ns) for another 10us:
-    // the p99-over-2us burns through the threshold, then recovers once
-    // the slow windows age out of the SLO span.
-    static sim::Task<void> run(net::Network &Net) {
-      for (int T = 0; T < 16; ++T) {
-        co_await Net.sim().delay(sim::SimTime::nanoseconds(1000));
-        int64_t Now = Net.sim().now().nanosecondsCount();
-        telemetry::record(1, "op.latency", Now, T < 6 ? 5000 : 100);
-      }
-    }
-  };
-  Net.sim().spawn(Driver::run(Net));
-  Net.sim().run();
-  std::string Json = Plane.exportJson();
+  std::string Trace;
+  std::string Json = sloRun(&Trace);
 
   EXPECT_NE(Json.find("\"kind\": \"breach\""), std::string::npos)
       << "expected a breach edge:\n"
@@ -341,6 +265,15 @@ TEST(TelemetrySloTest, BreachAndRecoverEdgesFire) {
   // Both burn counters moved off zero.
   EXPECT_EQ(Json.find("\"fast_burn_windows\": 0,"), std::string::npos) << Json;
   EXPECT_EQ(Json.find("\"slow_burn_windows\": 0,"), std::string::npos) << Json;
+  // The edges are also trace instants.
+  EXPECT_NE(Trace.find("slo.breach"), std::string::npos);
+  EXPECT_NE(Trace.find("slo.recover"), std::string::npos);
+
+  // A repeated run exports the same series, edges and trace, byte for
+  // byte.
+  std::string TraceAgain;
+  EXPECT_EQ(sloRun(&TraceAgain), Json);
+  EXPECT_EQ(TraceAgain, Trace);
 }
 
 //===----------------------------------------------------------------------===//

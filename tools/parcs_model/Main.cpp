@@ -10,7 +10,7 @@
 //
 //   parcs-model fit sweep.json [--param nodes] [--metric p99] [--json]
 //   parcs-model predict sweep.json --nodes 1024
-//   parcs-model check fresh.json --model BENCH_sim_kernel.json --deviation 20
+//   parcs-model check fresh.json --model model.json --deviation 20
 //   parcs-model compose legs.json [--end leg.total]
 //   parcs-model legs --param nodes 4=t4.json 8=t8.json --out legs.json
 //
