@@ -214,7 +214,7 @@ LoadGenResult parcs::apps::loadgen::runLoadGen(const LoadGenConfig &Cfg) {
   uint64_t DeferredBefore =
       metrics::Registry::global().counter("om.creations_deferred").value();
 
-  RunState S{Machines.sim()};
+  RunState S{Machines.sim(), {}};
   LoadGenResult Out;
   std::vector<std::unique_ptr<scoopp::ProxyBase>> Owners;
   std::vector<scoopp::ParallelRef> Fleet;

@@ -92,21 +92,23 @@ void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
   if (Src == Dst) {
     // Loopback: no wire, but keep it asynchronous (one event-queue hop) so
     // local and remote sends have the same re-entrancy behaviour.  A plain
-    // callback event -- the capture fits the inline buffer, so unlike the
-    // remote path there is no coroutine frame per message.
-    sim::Channel<Message> &Chan = bind(Dst, Port);
-    Sim.schedule(sim::SimTime(),
-                 [this, &Chan, Msg = std::move(Msg)]() mutable {
-                   if (Hook && !Hook->nodeAlive(Msg.Dst)) {
-                     // The node crashed between send and delivery.
-                     ++Dropped;
-                     ++FaultDropped;
-                     return;
-                   }
-                   ++Delivered;
-                   PayloadBytes += Msg.Payload.size();
-                   Chan.trySend(std::move(Msg));
-                 });
+    // callback event -- unlike the remote path there is no coroutine frame
+    // per message, and the capture fits the inline buffer only because the
+    // channel is looked up at delivery rather than captured.
+    auto Deliver = [this, Msg = std::move(Msg)]() mutable {
+      if (Hook && !Hook->nodeAlive(Msg.Dst)) {
+        // The node crashed between send and delivery.
+        ++Dropped;
+        ++FaultDropped;
+        return;
+      }
+      ++Delivered;
+      PayloadBytes += Msg.Payload.size();
+      bind(Msg.Dst, Msg.Port).trySend(std::move(Msg));
+    };
+    static_assert(sim::EventCallback::fitsInline<decltype(Deliver)>(),
+                  "loopback delivery must not heap-allocate");
+    Sim.schedule(sim::SimTime(), std::move(Deliver));
     return;
   }
   Sim.spawn(transfer(std::move(Msg)));

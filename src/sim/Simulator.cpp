@@ -156,16 +156,3 @@ void Simulator::runUntil(SimTime Until) {
   Kernel.setNowNs(Until.nanosecondsCount());
 }
 
-CounterGroup Simulator::counterSnapshot() const {
-  const SchedulerCounters &C = Kernel.counters();
-  CounterGroup Group;
-  Group.add("events", EventCount);
-  Group.add("callback_events", C.CallbackEvents);
-  Group.add("resume_events", C.ResumeEvents);
-  Group.add("peak_queue_depth", C.PeakQueueDepth);
-  Group.add("sbo_misses", C.SboMisses);
-  Group.add("nodes_allocated", C.NodesAllocated);
-  Group.add("overflow_inserts", C.OverflowInserts);
-  Group.add("window_advances", C.WindowAdvances);
-  return Group;
-}

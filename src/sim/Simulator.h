@@ -41,7 +41,6 @@
 #include "sim/SimTime.h"
 #include "sim/Task.h"
 #include "support/Logging.h"
-#include "support/Statistics.h"
 
 #include <coroutine>
 #include <cstdint>
@@ -147,9 +146,6 @@ public:
 
   /// Scheduler observability counters accumulated since construction.
   const SchedulerCounters &counters() const { return Kernel.counters(); }
-
-  /// Counters as a printable name/value group (for benches and logs).
-  CounterGroup counterSnapshot() const;
 
 private:
   friend void detail::detachedTaskFinished(Simulator &Sim, void *Frame);

@@ -44,26 +44,79 @@ int detail::bucketIndex(uint64_t Value) {
   return Log2 + 1;
 }
 
-double detail::bucketsPercentile(const uint64_t *Buckets, uint64_t Count,
-                                 double Min, double Max, double P) {
+std::optional<Histogram>
+Histogram::fromParts(std::span<const uint64_t, NumBuckets> Parts,
+                     uint64_t N, int64_t Lo, int64_t Hi, uint64_t Total) {
+  Histogram H;
+  int First = -1, Last = -1;
+  for (int B = 0; B < NumBuckets; ++B) {
+    if (Parts[B] == 0)
+      continue;
+    if (__builtin_add_overflow(H.Count, Parts[B], &H.Count))
+      return std::nullopt;
+    if (First < 0)
+      First = B;
+    Last = B;
+    H.Buckets[B] = Parts[B];
+  }
+  if (H.Count != N)
+    return std::nullopt;
+  if (N == 0)
+    return Lo == 0 && Hi == 0 && Total == 0 ? std::optional(H) : std::nullopt;
+  // Recording puts the smallest and largest samples in the outermost
+  // occupied buckets.
+  if (Lo < 0 || Lo > Hi || detail::bucketIndex(uint64_t(Lo)) != First ||
+      detail::bucketIndex(uint64_t(Hi)) != Last)
+    return std::nullopt;
+  H.Min = Lo;
+  H.Max = Hi;
+  H.Sum = Total;
+  return H;
+}
+
+void Histogram::record(int64_t Value) {
+  int64_t V = Value < 0 ? 0 : Value;
+  ++Buckets[detail::bucketIndex(uint64_t(V))];
+  if (Count == 0 || V < Min)
+    Min = V;
+  if (Count == 0 || V > Max)
+    Max = V;
+  Sum += uint64_t(V);
+  ++Count;
+}
+
+void Histogram::merge(const Histogram &Other) {
+  if (Other.Count == 0)
+    return;
+  for (int B = 0; B < NumBuckets; ++B)
+    Buckets[B] += Other.Buckets[B];
+  if (Count == 0 || Other.Min < Min)
+    Min = Other.Min;
+  if (Count == 0 || Other.Max > Max)
+    Max = Other.Max;
+  Sum += Other.Sum;
+  Count += Other.Count;
+}
+
+double Histogram::percentile(double P) const {
   if (Count == 0)
-    return Histogram::EmptyPercentile;
+    return EmptyPercentile;
   P = std::clamp(P, 0.0, 100.0);
-  // Rank in [0, N-1], same convention as SampleSet::percentile.
+  // Rank in [0, N-1]: P0 is the smallest sample, P100 the largest.
   double Rank = P / 100.0 * static_cast<double>(Count - 1);
   double Target = Rank + 1.0; // 1-based position within the distribution.
   uint64_t Seen = 0;
-  double Result = Max;
-  for (int B = 0; B < Histogram::NumBuckets; ++B) {
+  double Result = double(Max);
+  for (int B = 0; B < NumBuckets; ++B) {
     if (Buckets[B] == 0)
       continue;
     if (static_cast<double>(Seen + Buckets[B]) >= Target) {
       double Lo, Hi;
-      if (B == Histogram::NumBuckets - 1) {
+      if (B == NumBuckets - 1) {
         // Overflow bucket: no finite upper bound; interpolate up to the
         // observed maximum.
-        Lo = static_cast<double>(uint64_t{1} << Histogram::MaxShift);
-        Hi = Max;
+        Lo = static_cast<double>(uint64_t{1} << MaxShift);
+        Hi = double(Max);
       } else {
         bucketRange(B, Lo, Hi);
       }
@@ -76,128 +129,18 @@ double detail::bucketsPercentile(const uint64_t *Buckets, uint64_t Count,
   }
   // Clamp to the exact observed range: a single sample reports itself, and
   // bucket upper bounds never exceed the true max.
-  return std::clamp(Result, Min, Max);
-}
-
-void Histogram::record(int64_t Value) {
-  uint64_t V = Value < 0 ? 0 : static_cast<uint64_t>(Value);
-  ++Buckets[detail::bucketIndex(V)];
-  Stats.add(static_cast<double>(V));
-}
-
-double Histogram::percentile(double P) const {
-  if (Stats.count() == 0)
-    return EmptyPercentile;
-  return detail::bucketsPercentile(Buckets, Stats.count(), Stats.min(),
-                                   Stats.max(), P);
-}
-
-//===----------------------------------------------------------------------===//
-// Sliding sim-time windows
-//===----------------------------------------------------------------------===//
-
-WindowedCounter::WindowedCounter(int64_t WindowNs, int Slots) {
-  assert(WindowNs > 0 && Slots > 0 && "degenerate window");
-  SlotNs = std::max<int64_t>(1, WindowNs / Slots);
-  Ring.resize(size_t(Slots));
-}
-
-void WindowedCounter::add(int64_t AtNs, uint64_t N) {
-  int64_t Index = std::max<int64_t>(0, AtNs) / SlotNs;
-  Slot &S = Ring[size_t(Index % int64_t(Ring.size()))];
-  if (S.Index > Index)
-    return; // Stale sample from before the slot was recycled; drop it.
-  if (S.Index < Index) {
-    S.Index = Index;
-    S.Count = 0;
-  }
-  S.Count += N;
-}
-
-uint64_t WindowedCounter::inWindow(int64_t AtNs) const {
-  int64_t Newest = std::max<int64_t>(0, AtNs) / SlotNs;
-  int64_t Oldest = Newest - int64_t(Ring.size()) + 1;
-  uint64_t Total = 0;
-  for (const Slot &S : Ring)
-    if (S.Index >= Oldest && S.Index <= Newest)
-      Total += S.Count;
-  return Total;
-}
-
-void WindowedHistogram::Snapshot::record(int64_t Value) {
-  uint64_t V = Value < 0 ? 0 : uint64_t(Value);
-  ++Buckets[detail::bucketIndex(V)];
-  int64_t Clamped = int64_t(V);
-  if (Count == 0 || Clamped < Min)
-    Min = Clamped;
-  if (Count == 0 || Clamped > Max)
-    Max = Clamped;
-  Sum += V;
-  ++Count;
-}
-
-void WindowedHistogram::Snapshot::merge(const Snapshot &Other) {
-  if (Other.Count == 0)
-    return;
-  for (int B = 0; B < Histogram::NumBuckets; ++B)
-    Buckets[B] += Other.Buckets[B];
-  if (Count == 0 || Other.Min < Min)
-    Min = Other.Min;
-  if (Count == 0 || Other.Max > Max)
-    Max = Other.Max;
-  Sum += Other.Sum;
-  Count += Other.Count;
-}
-
-double WindowedHistogram::Snapshot::percentile(double P) const {
-  return detail::bucketsPercentile(Buckets, Count, double(Min), double(Max),
-                                   P);
-}
-
-WindowedHistogram::WindowedHistogram(int64_t WindowNs, int Slots) {
-  assert(WindowNs > 0 && Slots > 0 && "degenerate window");
-  SlotNs = std::max<int64_t>(1, WindowNs / Slots);
-  Ring.resize(size_t(Slots));
-}
-
-void WindowedHistogram::record(int64_t AtNs, int64_t Value) {
-  int64_t Index = std::max<int64_t>(0, AtNs) / SlotNs;
-  Slot &S = Ring[size_t(Index % int64_t(Ring.size()))];
-  if (S.Index > Index)
-    return; // Stale sample from before the slot was recycled; drop it.
-  if (S.Index < Index) {
-    S.Index = Index;
-    S.Data = Snapshot();
-  }
-  S.Data.record(Value);
-}
-
-uint64_t WindowedHistogram::countInWindow(int64_t AtNs) const {
-  return snapshot(AtNs).Count;
-}
-
-double WindowedHistogram::percentileInWindow(int64_t AtNs, double P) const {
-  return snapshot(AtNs).percentile(P);
-}
-
-WindowedHistogram::Snapshot WindowedHistogram::snapshot(int64_t AtNs) const {
-  int64_t Newest = std::max<int64_t>(0, AtNs) / SlotNs;
-  int64_t Oldest = Newest - int64_t(Ring.size()) + 1;
-  Snapshot Merged;
-  for (const Slot &S : Ring)
-    if (S.Index >= Oldest && S.Index <= Newest)
-      Merged.merge(S.Data);
-  return Merged;
+  return std::clamp(Result, double(Min), double(Max));
 }
 
 std::string Histogram::str() const {
-  if (Stats.count() == 0)
+  if (Count == 0)
     return "n=0 (no samples)";
   char Buf[192];
   std::snprintf(Buf, sizeof(Buf),
-                "n=%zu mean=%.1f p50=%.0f p90=%.0f p99=%.0f max=%.0f",
-                Stats.count(), Stats.mean(), percentile(50.0),
-                percentile(90.0), percentile(99.0), Stats.max());
+                "n=%llu mean=%.1f p50=%.0f p90=%.0f p99=%.0f max=%.0f",
+                static_cast<unsigned long long>(Count), mean(),
+                percentile(50.0), percentile(90.0), percentile(99.0),
+                double(Max));
   return Buf;
 }
 
@@ -380,9 +323,9 @@ std::string Registry::jsonReport() const {
       case Kind::Histogram: {
         const Histogram &H = *M.H;
         Os << "{\"n\": " << H.count() << ", \"mean\": ";
-        appendDouble(Os, H.summary().mean());
+        appendDouble(Os, H.mean());
         Os << ", \"min\": ";
-        appendDouble(Os, H.summary().min());
+        appendDouble(Os, double(H.min()));
         Os << ", \"p50\": ";
         appendDouble(Os, H.percentile(50.0));
         Os << ", \"p90\": ";
@@ -390,7 +333,7 @@ std::string Registry::jsonReport() const {
         Os << ", \"p99\": ";
         appendDouble(Os, H.percentile(99.0));
         Os << ", \"max\": ";
-        appendDouble(Os, H.summary().max());
+        appendDouble(Os, double(H.max()));
         Os << ", \"overflow\": " << H.overflowCount() << "}";
         break;
       }

@@ -22,22 +22,28 @@
 ///   PARCS_METRICS=<file>[,format=text|json]
 ///
 /// is set (format defaults to json when <file> ends in ".json", text
-/// otherwise).  Histograms reuse the Statistics.h machinery for their
-/// exact summary (count/mean/min/max) and answer percentile queries by
-/// interpolating within power-of-two buckets.
+/// otherwise).  Histograms keep an exact integer summary (count, sum, min,
+/// max) and answer percentile queries by interpolating within power-of-two
+/// buckets; the telemetry plane ships and merges the same type.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_SUPPORT_METRICS_H
 #define PARCS_SUPPORT_METRICS_H
 
-#include "support/Statistics.h"
-
+// <cstddef>, <limits> and <utility> are not needed here but stay: the
+// benchmark harness compiles bench sources that get them through this
+// header, and it must keep building unchanged.
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace parcs::metrics {
@@ -48,15 +54,6 @@ namespace detail {
 /// 1 + floor(log2), with everything >= 2^Histogram::MaxShift in one
 /// overflow bucket (see Histogram).
 int bucketIndex(uint64_t Value);
-
-/// Percentile interpolation over a Histogram-layout bucket array holding
-/// \p Count samples with observed range [\p Min, \p Max], clamped to that
-/// range so a single sample reports itself exactly.  Returns
-/// Histogram::EmptyPercentile when \p Count is zero.  Shared by the
-/// cumulative Histogram, the windowed variant, and the telemetry
-/// collector's merged cluster series.
-double bucketsPercentile(const uint64_t *Buckets, uint64_t Count, double Min,
-                         double Max, double P);
 
 } // namespace detail
 
@@ -90,15 +87,18 @@ private:
 };
 
 /// Fixed-bucket histogram for non-negative integer samples (latencies in
-/// nanoseconds, sizes in bytes).  Bucket 0 holds the value 0; bucket B
-/// (1..MaxShift) holds [2^(B-1), 2^B); values >= 2^MaxShift land in one
-/// overflow bucket.  The exact summary (count, mean, min, max) comes from
-/// an embedded RunningStats; percentiles are interpolated within a bucket
-/// and clamped to the observed [min, max], so a single sample reports
-/// itself exactly and overflow samples never report beyond the true
-/// maximum.  An empty histogram has no percentiles: percentile() returns
-/// the EmptyPercentile sentinel (-1, impossible for real samples, which
-/// clamp to >= 0).
+/// nanoseconds, sizes in bytes) -- the one distribution type: the
+/// end-of-run registry, the telemetry plane's per-window deltas, merged
+/// cluster series and SLO windows, and the load generator all use it.
+/// Bucket 0 holds the value 0; bucket B (1..MaxShift) holds
+/// [2^(B-1), 2^B); values >= 2^MaxShift land in one overflow bucket.  The
+/// summary (count, sum, min, max) is exact integer state, so merging two
+/// histograms equals recording every sample into one.  Percentiles are
+/// interpolated within a bucket and clamped to the observed [min, max], so
+/// a single sample reports itself exactly and overflow samples never
+/// report beyond the true maximum.  An empty histogram has no
+/// percentiles: percentile() returns the EmptyPercentile sentinel (-1,
+/// impossible for real samples, which clamp to >= 0).
 class Histogram {
 public:
   /// Last finite bucket bound is 2^MaxShift ns (~18 minutes).
@@ -109,11 +109,31 @@ public:
   /// on purpose: samples clamp to >= 0, so it cannot collide with data.
   static constexpr double EmptyPercentile = -1.0;
 
+  /// Rebuilds a histogram from what buckets(), count(), min(), max() and
+  /// sum() returned (the telemetry wire format).  Returns nullopt when the
+  /// parts cannot come from recording: \p N differs from the bucket
+  /// total, or [\p Lo, \p Hi] is negative, inverted, or outside the
+  /// outermost occupied buckets.
+  static std::optional<Histogram>
+  fromParts(std::span<const uint64_t, NumBuckets> Parts, uint64_t N,
+            int64_t Lo, int64_t Hi, uint64_t Total);
+
   /// Records one sample; negative values clamp to 0.
   void record(int64_t Value);
 
-  size_t count() const { return Stats.count(); }
-  const RunningStats &summary() const { return Stats; }
+  /// Folds \p Other in: bucket-wise add, count/sum add, min/max widen.
+  void merge(const Histogram &Other);
+
+  uint64_t count() const { return Count; }
+  /// The exact summary; all 0 when empty.
+  int64_t min() const { return Min; }
+  int64_t max() const { return Max; }
+  uint64_t sum() const { return Sum; }
+  double mean() const {
+    return Count == 0 ? 0.0 : double(Sum) / double(Count);
+  }
+
+  std::span<const uint64_t, NumBuckets> buckets() const { return Buckets; }
   uint64_t overflowCount() const { return Buckets[NumBuckets - 1]; }
 
   /// The \p P-th percentile (0..100); EmptyPercentile when empty.
@@ -124,107 +144,10 @@ public:
 
 private:
   uint64_t Buckets[NumBuckets] = {};
-  RunningStats Stats;
-};
-
-//===----------------------------------------------------------------------===//
-// Sliding sim-time windows
-//===----------------------------------------------------------------------===//
-//
-// The cumulative metrics above answer "what happened over the whole run";
-// the windowed variants below answer "what happened over the last W
-// nanoseconds of sim-time" -- the question live SLO evaluation and online
-// controllers need.  Both are rings of fixed-width slots keyed by the
-// *sample timestamp*, not by any wall clock, so results are a pure
-// function of the recorded (time, value) stream, byte-identical across
-// repeated runs.
-//
-// Slots are reclaimed lazily: each slot remembers which absolute slot
-// index it last held, and a reader simply ignores slots whose index has
-// fallen out of the queried window.  That makes add() O(1), queries O(#
-// slots), and -- the important edge case -- a multi-hour idle gap costs
-// nothing: stale slots are skipped, never eagerly zeroed one by one.
-
-/// Event count over a sliding sim-time window: a ring of \p Slots slots,
-/// each WindowNs / Slots wide.  Timestamps must be non-decreasing (stale
-/// samples older than the newest slot are dropped).
-class WindowedCounter {
-public:
-  explicit WindowedCounter(int64_t WindowNs = 100'000'000, int Slots = 10);
-
-  /// Records \p N events at sim-time \p AtNs (>= 0).
-  void add(int64_t AtNs, uint64_t N = 1);
-
-  /// Events recorded in the window (AtNs - windowNs(), AtNs].
-  uint64_t inWindow(int64_t AtNs) const;
-
-  int64_t windowNs() const { return SlotNs * int64_t(Ring.size()); }
-  int64_t slotNs() const { return SlotNs; }
-
-private:
-  struct Slot {
-    int64_t Index = -1; // Absolute slot index (AtNs / SlotNs); -1 = never.
-    uint64_t Count = 0;
-  };
-  int64_t SlotNs;
-  std::vector<Slot> Ring;
-};
-
-/// Log2-bucket histogram over a sliding sim-time window, same ring layout
-/// as WindowedCounter.  Queries merge the live slots into a Snapshot and
-/// reuse the cumulative Histogram's percentile interpolation, clamped to
-/// the window's observed min/max; an empty window reports
-/// Histogram::EmptyPercentile, exactly like an empty Histogram.
-class WindowedHistogram {
-public:
-  /// The merged view of one window (also the telemetry wire/merge unit:
-  /// snapshots from many nodes merge bucket-wise into a cluster series).
-  struct Snapshot {
-    uint64_t Buckets[Histogram::NumBuckets] = {};
-    uint64_t Count = 0;
-    int64_t Min = 0;
-    int64_t Max = 0;
-    uint64_t Sum = 0;
-
-    bool empty() const { return Count == 0; }
-    double mean() const {
-      return Count == 0 ? 0.0 : double(Sum) / double(Count);
-    }
-    /// The \p P-th percentile (0..100); Histogram::EmptyPercentile when
-    /// the snapshot is empty.
-    double percentile(double P) const;
-    /// Folds \p Other in (bucket-wise add, min/max/sum/count merge).
-    void merge(const Snapshot &Other);
-    /// Records one sample directly into the snapshot (the telemetry
-    /// agents accumulate per-window deltas this way).
-    void record(int64_t Value);
-  };
-
-  explicit WindowedHistogram(int64_t WindowNs = 100'000'000, int Slots = 10);
-
-  /// Records one sample at sim-time \p AtNs; negative values clamp to 0.
-  void record(int64_t AtNs, int64_t Value);
-
-  /// Samples in the window (AtNs - windowNs(), AtNs].
-  uint64_t countInWindow(int64_t AtNs) const;
-
-  /// The \p P-th percentile over the window; Histogram::EmptyPercentile
-  /// for an empty window.
-  double percentileInWindow(int64_t AtNs, double P) const;
-
-  /// The merged window contents ending at \p AtNs.
-  Snapshot snapshot(int64_t AtNs) const;
-
-  int64_t windowNs() const { return SlotNs * int64_t(Ring.size()); }
-  int64_t slotNs() const { return SlotNs; }
-
-private:
-  struct Slot {
-    int64_t Index = -1;
-    Snapshot Data;
-  };
-  int64_t SlotNs;
-  std::vector<Slot> Ring;
+  uint64_t Count = 0;
+  int64_t Min = 0;
+  int64_t Max = 0;
+  uint64_t Sum = 0;
 };
 
 /// How a report should be written (parsed from PARCS_METRICS).

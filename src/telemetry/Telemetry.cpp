@@ -217,14 +217,14 @@ void Plane::heartbeat(int Node, int64_t NowNs) {
     for (const auto &[Name, D] : Deltas) {
       Ar.write(Name);
       Ar.write(uint64_t(D.Count));
-      Ar.write(uint8_t(D.Hist.Count != 0));
-      if (D.Hist.Count != 0) {
-        for (uint64_t B : D.Hist.Buckets)
+      Ar.write(uint8_t(D.Hist.count() != 0));
+      if (D.Hist.count() != 0) {
+        for (uint64_t B : D.Hist.buckets())
           Ar.write(B);
-        Ar.write(uint64_t(D.Hist.Count));
-        Ar.write(int64_t(D.Hist.Min));
-        Ar.write(int64_t(D.Hist.Max));
-        Ar.write(uint64_t(D.Hist.Sum));
+        Ar.write(D.Hist.count());
+        Ar.write(D.Hist.min());
+        Ar.write(D.Hist.max());
+        Ar.write(D.Hist.sum());
       }
     }
   }
@@ -245,6 +245,13 @@ sim::Task<void> Plane::collectorLoop(sim::Channel<net::Message> &Chan) {
 }
 
 void Plane::onSnapshot(const net::Message &Msg) {
+  // In-band snapshots carry no CRC and fault plans flip payload bits, so
+  // the whole snapshot is decoded and checked before any of it merges.
+  // Its heartbeat was sent at NowNs and ships only windows closed by then:
+  // a snapshot from the future, or holding a window at or past NowNs, is
+  // corrupt -- merged, a flipped high window bit would make finish()
+  // finalize ~2^k windows, and a flipped NowNs would mark the node's
+  // genuine later data late.
   serial::InputArchive Ar(Msg.Payload);
   int32_t Node = -1;
   uint64_t Seq = 0;
@@ -256,47 +263,60 @@ void Plane::onSnapshot(const net::Message &Msg) {
   Ar.read(NowNs);
   Ar.read(ParkedFlag);
   Ar.read(NumWindows);
-  if (!Ar.ok() || Node < 0 || Node >= int(Agents.size())) {
-    ++CorruptSnapshots; // Bit corruption from a fault plan, most likely.
-    return;
-  }
-  for (uint32_t W = 0; W < NumWindows; ++W) {
+  bool Ok = Ar.ok() && Node >= 0 && Node < int(Agents.size()) &&
+            NowNs >= 0 && NowNs <= Net.sim().now().nanosecondsCount();
+  int64_t SentWindow = NowNs / Spec.WindowNs;
+  struct Entry {
+    int64_t Window;
+    std::string Name;
+    SeriesDelta D;
+  };
+  std::vector<Entry> Entries;
+  for (uint32_t W = 0; Ok && W < NumWindows; ++W) {
     int64_t Window = 0;
     uint32_t NumSeries = 0;
     Ar.read(Window);
     Ar.read(NumSeries);
-    for (uint32_t S = 0; S < NumSeries; ++S) {
-      std::string Name;
-      SeriesDelta D;
+    Ok = Ar.ok() && Window >= 0 && Window < SentWindow;
+    for (uint32_t S = 0; Ok && S < NumSeries; ++S) {
+      Entry E{Window, {}, {}};
       uint8_t HasHist = 0;
-      Ar.read(Name);
-      Ar.read(D.Count);
+      Ar.read(E.Name);
+      Ar.read(E.D.Count);
       Ar.read(HasHist);
       if (HasHist) {
-        for (uint64_t &B : D.Hist.Buckets)
+        uint64_t Buckets[metrics::Histogram::NumBuckets] = {};
+        uint64_t Count = 0, Sum = 0;
+        int64_t Min = 0, Max = 0;
+        for (uint64_t &B : Buckets)
           Ar.read(B);
-        Ar.read(D.Hist.Count);
-        Ar.read(D.Hist.Min);
-        Ar.read(D.Hist.Max);
-        Ar.read(D.Hist.Sum);
+        Ar.read(Count);
+        Ar.read(Min);
+        Ar.read(Max);
+        Ar.read(Sum);
+        std::optional<metrics::Histogram> H =
+            metrics::Histogram::fromParts(Buckets, Count, Min, Max, Sum);
+        Ok = H.has_value();
+        if (Ok)
+          E.D.Hist = *H;
       }
-      if (!Ar.ok()) {
-        ++CorruptSnapshots;
-        return;
-      }
-      if (Window < FirstOpenWindow) {
-        // History already judged by the SLO engine; late data may not
-        // rewrite it.  Counted so chaos runs can see the loss.
-        ++LateWindows;
-        continue;
-      }
-      auto It = Merged[std::move(Name)].try_emplace(Window);
-      It.first->second.merge(D);
+      Ok = Ok && Ar.ok();
+      if (Ok)
+        Entries.push_back(std::move(E));
     }
   }
-  if (!Ar.atEnd()) {
+  if (!Ok || !Ar.atEnd()) {
     ++CorruptSnapshots;
     return;
+  }
+  for (Entry &E : Entries) {
+    if (E.Window < FirstOpenWindow) {
+      // History already judged by the SLO engine; late data may not
+      // rewrite it.  Counted so chaos runs can see the loss.
+      ++LateWindows;
+      continue;
+    }
+    Merged[std::move(E.Name)].try_emplace(E.Window).first->second.merge(E.D);
   }
   ++SnapshotsReceived;
   // ParkedFlag rides in the snapshot for post-mortem inspection but does
@@ -338,7 +358,7 @@ void Plane::evaluateSlos(int64_t Window) {
   int64_t EndNs = (Window + 1) * Spec.WindowNs;
   for (SloState &S : Slos) {
     auto SeriesIt = Merged.find(S.Spec.Series);
-    metrics::WindowedHistogram::Snapshot Fast, Slow;
+    metrics::Histogram Fast, Slow;
     if (SeriesIt != Merged.end()) {
       auto &Windows = SeriesIt->second;
       for (int64_t W = Window - S.SpanWindows + 1; W <= Window; ++W) {
@@ -456,7 +476,7 @@ std::string Plane::exportJson() {
     appendEscaped(Out, Name);
     bool IsHist = false;
     for (const auto &[W, D] : Windows)
-      if (D.Hist.Count != 0)
+      if (D.Hist.count() != 0)
         IsHist = true;
     Out += IsHist ? ": {\"kind\": \"histogram\", \"windows\": ["
                   : ": {\"kind\": \"counter\", \"windows\": [";
@@ -470,13 +490,13 @@ std::string Plane::exportJson() {
       appendInt(Out, W * Spec.WindowNs);
       if (IsHist) {
         Out += ", \"n\": ";
-        appendInt(Out, int64_t(D.Hist.Count));
+        appendInt(Out, int64_t(D.Hist.count()));
         Out += ", \"mean\": ";
         appendDouble(Out, D.Hist.mean());
         Out += ", \"min\": ";
-        appendInt(Out, D.Hist.Count ? D.Hist.Min : 0);
+        appendInt(Out, D.Hist.min());
         Out += ", \"max\": ";
-        appendInt(Out, D.Hist.Count ? D.Hist.Max : 0);
+        appendInt(Out, D.Hist.max());
         Out += ", \"p50\": ";
         appendDouble(Out, D.Hist.percentile(50));
         Out += ", \"p90\": ";
@@ -551,13 +571,13 @@ std::string Plane::modelPointsJson() {
   for (const auto &[Name, Windows] : Merged) {
     // Whole-run exact summary: merge every window's buckets, then take
     // percentiles -- no window-average approximation.
-    metrics::WindowedHistogram::Snapshot Hist;
+    metrics::Histogram Hist;
     uint64_t Count = 0;
     for (const auto &[W, D] : Windows) {
       Hist.merge(D.Hist);
       Count += D.Count;
     }
-    uint64_t N = Hist.Count ? Hist.Count : Count;
+    uint64_t N = Hist.count() ? Hist.count() : Count;
     if (N == 0)
       continue;
     auto Metric = [&](const std::string &Suffix, double V) {
@@ -570,7 +590,7 @@ std::string Plane::modelPointsJson() {
     Metric(".n", double(N));
     if (SpanS > 0)
       Metric(".rate_per_s", double(N) / SpanS);
-    if (Hist.Count != 0) {
+    if (Hist.count() != 0) {
       Metric(".p50", Hist.percentile(50));
       Metric(".p99", Hist.percentile(99));
       Metric(".p999", Hist.percentile(99.9));

@@ -149,7 +149,7 @@ private:
   /// merge harmlessly because the unused half stays empty).
   struct SeriesDelta {
     uint64_t Count = 0;
-    metrics::WindowedHistogram::Snapshot Hist;
+    metrics::Histogram Hist;
 
     void merge(const SeriesDelta &Other) {
       Count += Other.Count;

@@ -180,6 +180,20 @@ TEST(NetworkTest, LoopbackBypassesWire) {
   EXPECT_EQ(Net.wireBytesCarried(), 0u);
 }
 
+TEST(NetworkTest, LoopbackDeliveryDoesNotAllocate) {
+  Simulator Sim;
+  Network Net(Sim, 2);
+  auto &Port = Net.bind(0, 3);
+  Message Got;
+  SimTime At;
+  Sim.spawn(recvOne(Port, Got, Sim, At));
+  Net.send(0, 0, 3, bytes(16));
+  Sim.run();
+  EXPECT_EQ(Got.Payload.size(), 16u);
+  // The delivery event's capture must fit the callback's inline buffer.
+  EXPECT_EQ(Sim.counters().SboMisses, 0u);
+}
+
 TEST(NetworkTest, DistinctPortsAreIndependent) {
   Simulator Sim;
   Network Net(Sim, 2);

@@ -28,6 +28,7 @@
 #include <cctype>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -232,8 +233,8 @@ TEST(HistogramTest, SingleSampleIsExactEverywhere) {
   H.record(777);
   for (double P : {0.0, 1.0, 50.0, 90.0, 99.0, 100.0})
     EXPECT_EQ(H.percentile(P), 777.0) << "P" << P;
-  EXPECT_EQ(H.summary().min(), 777.0);
-  EXPECT_EQ(H.summary().max(), 777.0);
+  EXPECT_EQ(H.min(), 777);
+  EXPECT_EQ(H.max(), 777);
 }
 
 TEST(HistogramTest, ZeroAndNegativeSamples) {
@@ -275,109 +276,63 @@ TEST(HistogramTest, PercentilesAreMonotonicAndBracketed) {
   EXPECT_NEAR(H.percentile(50), 50000.0, 20000.0);
 }
 
-//===----------------------------------------------------------------------===//
-// Windowed (sliding sim-time) primitives.
-//===----------------------------------------------------------------------===//
-
-TEST(WindowedCounterTest, EmptyAndBasicWindow) {
-  metrics::WindowedCounter C(/*WindowNs=*/1000, /*Slots=*/10);
-  EXPECT_EQ(C.windowNs(), 1000);
-  EXPECT_EQ(C.slotNs(), 100);
-  EXPECT_EQ(C.inWindow(0), 0u);
-  EXPECT_EQ(C.inWindow(5000), 0u);
-
-  C.add(100);
-  C.add(150, 2);
-  C.add(950);
-  EXPECT_EQ(C.inWindow(1000), 4u);
-  // Aging is slot-granular: once the query moves into slot 11, slot 1
-  // (the 100ns and 150ns samples) falls out of the 10-slot window.
-  EXPECT_EQ(C.inWindow(1199), 1u);
-  EXPECT_EQ(C.inWindow(1849), 1u); // Slot 9 (the 950ns sample) still in.
-  EXPECT_EQ(C.inWindow(1900), 0u); // ...and out one slot later.
-  EXPECT_EQ(C.inWindow(2000), 0u);
-}
-
-TEST(WindowedCounterTest, RingRotationAcrossLongIdleGap) {
-  metrics::WindowedCounter C(1000, 10);
-  C.add(500, 7);
-  // An idle gap many multiples of the window: the stale slots must not
-  // leak into queries after the ring indices lap.
-  int64_t Later = 500 + 1000 * 1000 + 37; // Same ring position, much later.
-  EXPECT_EQ(C.inWindow(Later), 0u) << "stale slot leaked across a lap";
-  C.add(Later, 3);
-  EXPECT_EQ(C.inWindow(Later), 3u);
-  EXPECT_EQ(C.inWindow(Later + 900), 3u); // Within the 10-slot window.
-  EXPECT_EQ(C.inWindow(Later + 1100), 0u);
-}
-
-TEST(WindowedCounterTest, StaleAddIsDropped) {
-  metrics::WindowedCounter C(1000, 10);
-  C.add(10'000, 5);
-  // A sample older than the oldest live slot must be dropped, not recorded
-  // into a recycled slot where it would masquerade as recent data.
-  C.add(100, 99);
-  EXPECT_EQ(C.inWindow(10'000), 5u);
-}
-
-TEST(WindowedHistogramTest, EmptyWindowReportsSentinel) {
-  metrics::WindowedHistogram H(1000, 10);
-  EXPECT_EQ(H.countInWindow(0), 0u);
-  EXPECT_EQ(H.percentileInWindow(0, 50), metrics::Histogram::EmptyPercentile);
-  EXPECT_EQ(H.percentileInWindow(123456, 99),
-            metrics::Histogram::EmptyPercentile);
-  metrics::WindowedHistogram::Snapshot S = H.snapshot(500);
-  EXPECT_TRUE(S.empty());
-  EXPECT_EQ(S.percentile(50), metrics::Histogram::EmptyPercentile);
-}
-
-TEST(WindowedHistogramTest, BucketBoundaryValues) {
-  metrics::WindowedHistogram H(1000, 10);
+TEST(HistogramTest, BucketBoundaryValues) {
+  metrics::Histogram H;
   // Exact powers of two sit on log2 bucket boundaries; make sure both the
   // count and the percentile clamp stay exact at the edges.
   for (int64_t V : {1, 2, 4, 1024, 1 << 20})
-    H.record(500, V);
-  EXPECT_EQ(H.countInWindow(1000), 5u);
-  EXPECT_EQ(H.percentileInWindow(1000, 0), 1.0);
-  EXPECT_EQ(H.percentileInWindow(1000, 100), double(1 << 20));
-  double P50 = H.percentileInWindow(1000, 50);
+    H.record(V);
+  EXPECT_EQ(H.count(), 5u);
+  EXPECT_EQ(H.percentile(0), 1.0);
+  EXPECT_EQ(H.percentile(100), double(1 << 20));
+  double P50 = H.percentile(50);
   EXPECT_GE(P50, 1.0);
   EXPECT_LE(P50, double(1 << 20));
 }
 
-TEST(WindowedHistogramTest, SamplesAgeOut) {
-  metrics::WindowedHistogram H(1000, 10);
-  H.record(100, 10);
-  H.record(900, 1000);
-  EXPECT_EQ(H.countInWindow(1000), 2u);
-  // After the first slot ages out, only the 1000-valued sample remains and
-  // every percentile collapses onto it.
-  EXPECT_EQ(H.countInWindow(1500), 1u);
-  EXPECT_EQ(H.percentileInWindow(1500, 0), 1000.0);
-  EXPECT_EQ(H.percentileInWindow(1500, 100), 1000.0);
-  EXPECT_EQ(H.countInWindow(5000), 0u);
-}
-
-TEST(WindowedHistogramTest, SnapshotMergeMatchesCombinedRecording) {
-  // Merging two snapshots must equal recording every sample into one --
+TEST(HistogramTest, MergeMatchesCombinedRecording) {
+  // Merging two histograms must equal recording every sample into one --
   // the property the telemetry collector's cross-node merge relies on.
-  metrics::WindowedHistogram::Snapshot A, B, Both;
+  metrics::Histogram A, B, Both;
   for (int64_t V : {5, 17, 300})
     A.record(V), Both.record(V);
   for (int64_t V : {2, 90000})
     B.record(V), Both.record(V);
   A.merge(B);
-  EXPECT_EQ(A.Count, Both.Count);
-  EXPECT_EQ(A.Min, Both.Min);
-  EXPECT_EQ(A.Max, Both.Max);
-  EXPECT_EQ(A.Sum, Both.Sum);
+  EXPECT_EQ(A.count(), Both.count());
+  EXPECT_EQ(A.min(), Both.min());
+  EXPECT_EQ(A.max(), Both.max());
+  EXPECT_EQ(A.sum(), Both.sum());
+  EXPECT_EQ(A.mean(), Both.mean());
   for (double P : {0.0, 50.0, 99.0, 100.0})
     EXPECT_EQ(A.percentile(P), Both.percentile(P)) << "P" << P;
-  // Merging an empty snapshot is the identity.
-  metrics::WindowedHistogram::Snapshot Empty;
+  EXPECT_EQ(A.str(), Both.str());
+  // Merging an empty histogram is the identity.
+  metrics::Histogram Empty;
   A.merge(Empty);
-  EXPECT_EQ(A.Count, Both.Count);
-  EXPECT_EQ(A.Min, Both.Min);
+  EXPECT_EQ(A.count(), Both.count());
+  EXPECT_EQ(A.min(), Both.min());
+  EXPECT_EQ(A.str(), Both.str());
+}
+
+TEST(HistogramTest, FromPartsRejectsInconsistentParts) {
+  metrics::Histogram H;
+  for (int64_t V : {3, 700, 701})
+    H.record(V);
+  auto Rebuild = [&](uint64_t N, int64_t Lo, int64_t Hi) {
+    return metrics::Histogram::fromParts(H.buckets(), N, Lo, Hi, H.sum());
+  };
+  std::optional<metrics::Histogram> Same = Rebuild(3, 3, 701);
+  ASSERT_TRUE(Same.has_value());
+  EXPECT_EQ(Same->str(), H.str());
+  EXPECT_FALSE(Rebuild(4, 3, 701)) << "count differs from bucket total";
+  EXPECT_FALSE(Rebuild(3, 701, 3)) << "min above max";
+  EXPECT_FALSE(Rebuild(3, -1, 701)) << "negative min";
+  EXPECT_FALSE(Rebuild(3, 512, 701)) << "min outside its bucket";
+  EXPECT_FALSE(Rebuild(3, 3, 1 << 20)) << "max outside its bucket";
+  metrics::Histogram Empty;
+  EXPECT_TRUE(metrics::Histogram::fromParts(Empty.buckets(), 0, 0, 0, 0));
+  EXPECT_FALSE(metrics::Histogram::fromParts(Empty.buckets(), 0, 5, 5, 5));
 }
 
 //===----------------------------------------------------------------------===//
@@ -438,6 +393,47 @@ TEST(MetricsRegistryTest, JsonReportParses) {
   EXPECT_EQ(N->Num, 2.0);
   EXPECT_NE(Lat->field("p50"), nullptr);
   EXPECT_NE(Lat->field("max"), nullptr);
+}
+
+TEST(MetricsRegistryTest, ReportBytesArePinned) {
+  // The exact report bytes downstream tools parse: a counter, a gauge, an
+  // empty histogram, and one with a non-integer mean and an overflow
+  // sample.
+  metrics::Registry Reg;
+  Reg.counter("b.calls").add(7);
+  Reg.gauge("a.depth").set(-2);
+  Reg.histogram("d.empty");
+  metrics::Histogram &H = Reg.histogram("c.lat_ns");
+  for (int64_t V : {int64_t(0), int64_t(3), int64_t(1000), int64_t(1001),
+                    int64_t(1) << 41})
+    H.record(V);
+  for (int64_t V : {1, 2, 2})
+    Reg.histogram("e.small").record(V);
+  EXPECT_EQ(Reg.jsonReport(),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"b.calls\": 7\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"a.depth\": -2\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"c.lat_ns\": {\"n\": 5, \"mean\": 4.39805e+11, \"min\": 0, "
+            "\"p50\": 767.5, \"p90\": 1.75922e+12, \"p99\": 2.15504e+12, "
+            "\"max\": 2.19902e+12, \"overflow\": 1},\n"
+            "    \"d.empty\": {\"n\": 0, \"mean\": 0, \"min\": 0, \"p50\": -1, "
+            "\"p90\": -1, \"p99\": -1, \"max\": 0, \"overflow\": 0},\n"
+            "    \"e.small\": {\"n\": 3, \"mean\": 1.66667, \"min\": 1, "
+            "\"p50\": 2, \"p90\": 2, \"p99\": 2, \"max\": 2, \"overflow\": 0}\n"
+            "  }\n"
+            "}\n");
+  EXPECT_EQ(Reg.textReport(),
+            "a.depth   -2\n"
+            "b.calls   7\n"
+            "c.lat_ns  n=5 mean=439804651511.2 p50=768 p90=1759218604442 "
+            "p99=2155042790441 max=2199023255552\n"
+            "d.empty   n=0 (no samples)\n"
+            "e.small   n=3 mean=1.7 p50=2 p90=2 p99=2 max=2\n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,7 +6,6 @@
 
 #include "support/Error.h"
 #include "support/Random.h"
-#include "support/Statistics.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
@@ -113,54 +112,6 @@ TEST(RngTest, NextInRangeInclusive) {
   }
   EXPECT_TRUE(SawLo);
   EXPECT_TRUE(SawHi);
-}
-
-//===----------------------------------------------------------------------===//
-// Statistics
-//===----------------------------------------------------------------------===//
-
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats S;
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  EXPECT_EQ(S.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats S;
-  for (double X : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(S.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(S.stddev(), 2.0);
-  EXPECT_EQ(S.min(), 2.0);
-  EXPECT_EQ(S.max(), 9.0);
-  EXPECT_DOUBLE_EQ(S.sum(), 40.0);
-}
-
-TEST(SampleSetTest, PercentilesInterpolate) {
-  SampleSet S;
-  for (int I = 1; I <= 100; ++I)
-    S.add(static_cast<double>(I));
-  EXPECT_DOUBLE_EQ(S.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(S.percentile(100), 100.0);
-  EXPECT_NEAR(S.median(), 50.5, 1e-9);
-}
-
-TEST(SampleSetTest, SingleSample) {
-  SampleSet S;
-  S.add(3.5);
-  EXPECT_DOUBLE_EQ(S.percentile(0), 3.5);
-  EXPECT_DOUBLE_EQ(S.percentile(99), 3.5);
-}
-
-TEST(SampleSetTest, UnsortedInsertOrder) {
-  SampleSet S;
-  for (double X : {9.0, 1.0, 5.0, 3.0, 7.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(S.percentile(100), 9.0);
-  EXPECT_DOUBLE_EQ(S.median(), 5.0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,7 @@
 #include "fault/FaultPlan.h"
 #include "fault/Injector.h"
 #include "net/Network.h"
+#include "serial/Archive.h"
 #include "support/Metrics.h"
 #include "support/PostMortem.h"
 #include "support/TelemetrySink.h"
@@ -206,6 +207,56 @@ TEST(TelemetryPlaneTest, RepeatedRunsExportIdenticalJson) {
   std::string Second = RunOnce();
   EXPECT_FALSE(First.empty());
   EXPECT_EQ(First, Second);
+}
+
+/// One hand-built snapshot in the agents' wire format: a single window
+/// holding one histogram series.
+std::vector<uint8_t> forgedSnapshot(int64_t NowNs, int64_t Window,
+                                    uint64_t Count) {
+  serial::OutputArchive Ar;
+  Ar.write(int32_t(1));  // Node.
+  Ar.write(uint64_t(1)); // Seq.
+  Ar.write(NowNs);
+  Ar.write(uint8_t(1)); // Parked.
+  Ar.write(uint32_t(1));
+  Ar.write(Window);
+  Ar.write(uint32_t(1));
+  Ar.write(std::string("forged.latency"));
+  Ar.write(uint64_t(0));
+  Ar.write(uint8_t(1));
+  for (int B = 0; B < metrics::Histogram::NumBuckets; ++B)
+    Ar.write(uint64_t(B == 7 ? 1 : 0)); // One sample in [64, 128).
+  Ar.write(Count);
+  Ar.write(int64_t(100)); // Min.
+  Ar.write(int64_t(100)); // Max.
+  Ar.write(uint64_t(100)); // Sum.
+  return Ar.take();
+}
+
+TEST(TelemetryPlaneTest, DropsSnapshotsWithImpossibleFields) {
+  vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+  net::Network Net(Machines.sim(), 2);
+  telemetry::TelemetrySpec Spec;
+  Spec.WindowNs = 1000;
+  telemetry::Plane Plane(Net, Spec);
+  struct Driver {
+    static sim::Task<void> run(net::Network &Net, int Port) {
+      co_await Net.sim().delay(sim::SimTime::microseconds(10));
+      // A window far past the heartbeat that shipped it, a heartbeat from
+      // 10s in the future, and a histogram whose count is not its bucket
+      // total: each is what one flipped bit in a genuine snapshot gives.
+      Net.send(1, 0, Port, forgedSnapshot(8000, 8 + (int64_t(1) << 20), 1));
+      Net.send(1, 0, Port, forgedSnapshot(10'000'000'000, 2, 1));
+      Net.send(1, 0, Port, forgedSnapshot(8000, 2, 2));
+    }
+  };
+  Net.sim().spawn(Driver::run(Net, Spec.Port));
+  Net.sim().run();
+  std::string Json = Plane.exportJson();
+  EXPECT_EQ(Plane.corruptSnapshots(), 3u);
+  EXPECT_EQ(Plane.lateWindows(), 0u);
+  EXPECT_EQ(Plane.snapshotsReceived(), 0u);
+  EXPECT_EQ(Json.find("forged.latency"), std::string::npos) << Json;
 }
 
 //===----------------------------------------------------------------------===//
