@@ -10,11 +10,13 @@
 #include "mpi/Mpi.h"
 #include "net/Network.h"
 #include "sim/Sync.h"
+#include "support/HostPool.h"
 #include "support/Logging.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 #include "vm/Cluster.h"
 
+#include <future>
 #include <string>
 
 using namespace parcs;
@@ -24,9 +26,45 @@ using namespace parcs::apps::ray;
 // Worker
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Renders line block [Y0, Y1) of \p Job into \p Out for a worker on
+/// \p Host.  Every line goes to the host pool at once; the lines are then
+/// taken in order, the simulator thread blocking on each, and each is
+/// charged on \p Host as virtual CPU for its counted ops, scaled by the
+/// node's VM (reference = Sun JVM).  Virtual time thus comes only from
+/// the lines' op counts, never from host timing.  Returns false, having
+/// rendered nothing, when the block lies outside the frame.
+sim::Task<bool> renderBlock(vm::Node &Host, std::shared_ptr<const RayJob> Job,
+                            HostPool *Pool, int32_t Y0, int32_t Y1,
+                            RenderedRows &Out) {
+  if (Y0 < 0 || Y1 < Y0 || Y1 > Job->Height)
+    co_return false;
+  HostPool &Threads = Pool ? *Pool : HostPool::shared();
+  std::vector<std::future<LineResult>> Lines;
+  Lines.reserve(static_cast<size_t>(Y1 - Y0));
+  for (int32_t Y = Y0; Y < Y1; ++Y)
+    Lines.push_back(Threads.submit([Job, Y] {
+      return Job->SceneData.renderLine(Y, Job->Width, Job->Height);
+    }));
+  for (int32_t Y = Y0; Y < Y1; ++Y) {
+    LineResult Line = Lines[static_cast<size_t>(Y - Y0)].get();
+    co_await Host.computeWork(
+        vm::WorkKind::FloatingPoint,
+        sim::SimTime::fromSecondsF(Job->NsPerOp * 1e-9 *
+                                   static_cast<double>(Line.Ops)));
+    Out.ChecksumSum += Scene::lineChecksum(Line.Rgb);
+    Out.Rows[Y] = std::move(Line.Rgb);
+  }
+  co_return true;
+}
+
+} // namespace
+
 RayWorkerHandler::RayWorkerHandler(vm::Node &Host,
-                                   std::shared_ptr<const RayJob> Job)
-    : Host(Host), Job(std::move(Job)) {
+                                   std::shared_ptr<const RayJob> Job,
+                                   HostPool *Pool)
+    : Host(Host), Job(std::move(Job)), Pool(Pool) {
   if (trace::enabled()) {
     // One trace lane per worker, numbered in per-run track registration
     // order (deterministic under the single-threaded simulator; the
@@ -44,20 +82,9 @@ RayWorkerHandler::handleCall(std::string_view Method,
     int32_t Y0 = 0, Y1 = 0;
     if (!serial::decodeValues(Args, Y0, Y1))
       co_return Error(ErrorCode::MalformedMessage, "render args");
-    if (Y0 < 0 || Y1 < Y0 || Y1 > Job->Height)
-      co_return Error(ErrorCode::InvalidArgument, "render line range");
     int64_t BlockStartNs = Host.sim().now().nanosecondsCount();
-    for (int32_t Y = Y0; Y < Y1; ++Y) {
-      // Real rendering; virtual time charged per counted op, scaled by
-      // this node's VM (reference = Sun JVM).
-      LineResult Line = Job->SceneData.renderLine(Y, Job->Width, Job->Height);
-      co_await Host.computeWork(
-          vm::WorkKind::FloatingPoint,
-          sim::SimTime::fromSecondsF(Job->NsPerOp * 1e-9 *
-                                     static_cast<double>(Line.Ops)));
-      ChecksumSum += Scene::lineChecksum(Line.Rgb);
-      Rows[Y] = std::move(Line.Rgb);
-    }
+    if (!co_await renderBlock(Host, Job, Pool, Y0, Y1, Rendered))
+      co_return Error(ErrorCode::InvalidArgument, "render line range");
     trace::complete(Host.id(), TraceTid, "ray.render_block", BlockStartNs,
                     Host.sim().now().nanosecondsCount() - BlockStartNs);
     metrics::Registry &Reg = metrics::Registry::global();
@@ -69,9 +96,9 @@ RayWorkerHandler::handleCall(std::string_view Method,
     trace::instant(Host.id(), TraceTid, "ray.collect",
                    Host.sim().now().nanosecondsCount());
     serial::OutputArchive Out;
-    Out.write(ChecksumSum);
-    Out.write(static_cast<uint32_t>(Rows.size()));
-    for (const auto &[Y, Rgb] : Rows) {
+    Out.write(Rendered.ChecksumSum);
+    Out.write(static_cast<uint32_t>(Rendered.Rows.size()));
+    for (const auto &[Y, Rgb] : Rendered.Rows) {
       Out.write(Y);
       Out.write(static_cast<uint32_t>(Rgb.size()));
       Out.writeRaw(Rgb);
@@ -83,12 +110,12 @@ RayWorkerHandler::handleCall(std::string_view Method,
 
 void parcs::apps::ray::registerRayWorker(
     scoopp::ParallelClassRegistry &Registry,
-    std::shared_ptr<const RayJob> Job) {
+    std::shared_ptr<const RayJob> Job, HostPool *Pool) {
   Registry.registerClass(
       {RayWorkerHandler::ClassName,
-       [Job](scoopp::ScooppRuntime &, vm::Node &Host)
+       [Job, Pool](scoopp::ScooppRuntime &, vm::Node &Host)
            -> std::shared_ptr<remoting::CallHandler> {
-         return std::make_shared<RayWorkerHandler>(Host, Job);
+         return std::make_shared<RayWorkerHandler>(Host, Job, Pool);
        }});
 }
 
@@ -357,7 +384,7 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
     }
   }
   scoopp::ParallelClassRegistry Registry;
-  registerRayWorker(Registry, Job);
+  registerRayWorker(Registry, Job, Config.Pool);
   scoopp::ScooppConfig ScooppCfg;
   ScooppCfg.Stack = Config.Stack;
   ScooppCfg.Grain = Grain;
@@ -390,7 +417,8 @@ FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
     int NodeId = W / Config.CoresPerNode;
     std::string Name = "worker" + std::to_string(W);
     Endpoints[static_cast<size_t>(NodeId)]->publish(
-        Name, std::make_shared<RayWorkerHandler>(Machines.node(NodeId), Job));
+        Name, std::make_shared<RayWorkerHandler>(Machines.node(NodeId), Job,
+                                                 Config.Pool));
     Workers.emplace_back(*Endpoints[0], NodeId, rmi::RegistryPort, Name);
   }
   FarmResult Out;
@@ -400,54 +428,10 @@ FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
   return Out;
 }
 
-namespace {
-
-/// Tags of the MPI farm protocol.
-enum MpiFarmTag : int {
-  TagWork = 1,   ///< (y0, y1) line block.
-  TagDone = 2,   ///< No more work; report results.
-  TagResult = 3, ///< (checksum, rowCount, rows...).
-};
-
-sim::Task<void> mpiFarmRank(mpi::MpiComm Comm,
-                            std::shared_ptr<const RayJob> Job,
-                            FarmResult *Out) {
-  if (Comm.rank() == 0) {
-    // Master: deal blocks round-robin, then collect.
-    sim::SimTime Start = Comm.node().sim().now();
-    int Workers = Comm.size() - 1;
-    auto Blocks = assignBlocks(*Job, Workers);
-    size_t MaxBlocks = 0;
-    for (const auto &List : Blocks)
-      MaxBlocks = std::max(MaxBlocks, List.size());
-    for (size_t Round = 0; Round < MaxBlocks; ++Round)
-      for (int W = 0; W < Workers; ++W)
-        if (Round < Blocks[static_cast<size_t>(W)].size()) {
-          auto [Y0, Y1] = Blocks[static_cast<size_t>(W)][Round];
-          co_await Comm.send(W + 1, TagWork, serial::encodeValues(Y0, Y1));
-        }
-    for (int W = 1; W <= Workers; ++W)
-      co_await Comm.send(W, TagDone, {});
-    for (int W = 0; W < Workers; ++W) {
-      mpi::RecvResult In = co_await Comm.recv(mpi::AnySource, TagResult);
-      serial::InputArchive Ar(In.Data);
-      uint64_t Checksum = 0;
-      uint32_t RowBytes = 0;
-      remoting::Bytes Rows;
-      if (Ar.read(Checksum) && Ar.read(RowBytes) &&
-          Ar.readRaw(Rows, RowBytes)) {
-        Out->Checksum += Checksum;
-        Out->PixelBytes += Rows.size();
-      }
-    }
-    Out->Elapsed = Comm.node().sim().now() - Start;
-    co_return;
-  }
-
-  // Worker: render blocks until the done marker, then ship the rows
-  // (explicitly packed, as the paper contrasts with serialisation).
-  uint64_t Checksum = 0;
-  std::map<int32_t, std::vector<uint8_t>> Rows;
+sim::Task<void> parcs::apps::ray::mpiRayWorker(mpi::MpiComm Comm,
+                                               std::shared_ptr<const RayJob> Job,
+                                               HostPool *Pool) {
+  RenderedRows Rendered;
   for (;;) {
     mpi::RecvResult In = co_await Comm.recv(0, mpi::AnyTag);
     if (In.Tag == TagDone)
@@ -455,24 +439,53 @@ sim::Task<void> mpiFarmRank(mpi::MpiComm Comm,
     int32_t Y0 = 0, Y1 = 0;
     if (!serial::decodeValues(In.Data, Y0, Y1))
       continue;
-    for (int32_t Y = Y0; Y < Y1 && Y < Job->Height; ++Y) {
-      LineResult Line = Job->SceneData.renderLine(Y, Job->Width, Job->Height);
-      co_await Comm.node().computeWork(
-          vm::WorkKind::FloatingPoint,
-          sim::SimTime::fromSecondsF(Job->NsPerOp * 1e-9 *
-                                     static_cast<double>(Line.Ops)));
-      Checksum += Scene::lineChecksum(Line.Rgb);
-      Rows[Y] = std::move(Line.Rgb);
-    }
+    // An out-of-frame block renders nothing; it is dropped like one that
+    // fails to decode.
+    co_await renderBlock(Comm.node(), Job, Pool, Y0, Y1, Rendered);
   }
   serial::OutputArchive Packed;
-  Packed.write(Checksum);
+  Packed.write(Rendered.ChecksumSum);
   serial::OutputArchive RowBuffer;
-  for (const auto &[Y, Rgb] : Rows)
+  for (const auto &[Y, Rgb] : Rendered.Rows)
     RowBuffer.writeRaw(Rgb);
   Packed.write(static_cast<uint32_t>(RowBuffer.size()));
   Packed.writeRaw(RowBuffer.bytes());
   co_await Comm.send(0, TagResult, Packed.take());
+}
+
+namespace {
+
+/// Rank 0 of the MPI farm: deals blocks round-robin, then collects.
+sim::Task<void> mpiFarmMaster(mpi::MpiComm Comm,
+                              std::shared_ptr<const RayJob> Job,
+                              FarmResult *Out) {
+  sim::SimTime Start = Comm.node().sim().now();
+  int Workers = Comm.size() - 1;
+  auto Blocks = assignBlocks(*Job, Workers);
+  size_t MaxBlocks = 0;
+  for (const auto &List : Blocks)
+    MaxBlocks = std::max(MaxBlocks, List.size());
+  for (size_t Round = 0; Round < MaxBlocks; ++Round)
+    for (int W = 0; W < Workers; ++W)
+      if (Round < Blocks[static_cast<size_t>(W)].size()) {
+        auto [Y0, Y1] = Blocks[static_cast<size_t>(W)][Round];
+        co_await Comm.send(W + 1, TagWork, serial::encodeValues(Y0, Y1));
+      }
+  for (int W = 1; W <= Workers; ++W)
+    co_await Comm.send(W, TagDone, {});
+  for (int W = 0; W < Workers; ++W) {
+    mpi::RecvResult In = co_await Comm.recv(mpi::AnySource, TagResult);
+    serial::InputArchive Ar(In.Data);
+    uint64_t Checksum = 0;
+    uint32_t RowBytes = 0;
+    remoting::Bytes Rows;
+    if (Ar.read(Checksum) && Ar.read(RowBytes) &&
+        Ar.readRaw(Rows, RowBytes)) {
+      Out->Checksum += Checksum;
+      Out->PixelBytes += Rows.size();
+    }
+  }
+  Out->Elapsed = Comm.node().sim().now() - Start;
 }
 
 } // namespace
@@ -486,8 +499,11 @@ FarmResult parcs::apps::ray::runMpiRayFarm(std::shared_ptr<const RayJob> Job,
   net::Network Net(Machines.sim(), Nodes);
   mpi::MpiWorld World(Machines, Net, Ranks, Config.CoresPerNode);
   FarmResult Out;
-  World.launch([Job, &Out](mpi::MpiComm Comm) -> sim::Task<void> {
-    return mpiFarmRank(Comm, Job, &Out);
+  World.launch([Job, &Out, Pool = Config.Pool](
+                   mpi::MpiComm Comm) -> sim::Task<void> {
+    if (Comm.rank() == 0)
+      return mpiFarmMaster(Comm, Job, &Out);
+    return mpiRayWorker(Comm, Job, Pool);
   });
   Machines.sim().run();
   return Out;

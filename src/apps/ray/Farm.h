@@ -31,9 +31,14 @@
 #include "core/Proxy.h"
 #include "core/Scoopp.h"
 #include "fault/FaultPlan.h"
+#include "mpi/Mpi.h"
 #include "rmi/Rmi.h"
 
 #include <memory>
+
+namespace parcs {
+class HostPool;
+} // namespace parcs
 
 namespace parcs::apps::ray {
 
@@ -61,12 +66,22 @@ struct FarmResult {
   bool Complete = true;
 };
 
+/// Rows one worker has rendered.
+struct RenderedRows {
+  /// Pixel rows keyed by Y (the map keeps them in image order).
+  std::map<int32_t, std::vector<uint8_t>> Rows;
+  /// Sum of the rows' Scene::lineChecksum.
+  uint64_t ChecksumSum = 0;
+};
+
 /// The worker implementation object: renders line blocks ("render") and
 /// hands back its accumulated rows ("collect").  Used both as a SCOOPP
-/// parallel class and as an RMI unicast object.
+/// parallel class and as an RMI unicast object.  Lines are rendered on
+/// \p Pool (null = HostPool::shared()).
 class RayWorkerHandler : public remoting::CallHandler {
 public:
-  RayWorkerHandler(vm::Node &Host, std::shared_ptr<const RayJob> Job);
+  RayWorkerHandler(vm::Node &Host, std::shared_ptr<const RayJob> Job,
+                   HostPool *Pool = nullptr);
 
   sim::Task<ErrorOr<remoting::Bytes>>
   handleCall(std::string_view Method, const remoting::Bytes &Args) override;
@@ -76,9 +91,8 @@ public:
 private:
   vm::Node &Host;
   std::shared_ptr<const RayJob> Job;
-  /// Rendered rows keyed by Y (map keeps collect output in image order).
-  std::map<int32_t, std::vector<uint8_t>> Rows;
-  uint64_t ChecksumSum = 0;
+  HostPool *Pool;
+  RenderedRows Rendered;
   /// This worker's trace lane on its node (0 when tracing is off).
   int TraceTid = 0;
 };
@@ -100,9 +114,11 @@ public:
   }
 };
 
-/// Registers the RayWorker parallel class backed by \p Job.
+/// Registers the RayWorker parallel class backed by \p Job, rendering on
+/// \p Pool (null = HostPool::shared()).
 void registerRayWorker(scoopp::ParallelClassRegistry &Registry,
-                       std::shared_ptr<const RayJob> Job);
+                       std::shared_ptr<const RayJob> Job,
+                       HostPool *Pool = nullptr);
 
 /// Farm run shared by both stacks; deterministic.
 struct FarmConfig {
@@ -127,11 +143,14 @@ struct FarmConfig {
   remoting::RetryPolicy Retry{};
   /// Upper bound on re-render rounds for rows lost to worker crashes.
   int MaxRecoveryRounds = 3;
+  /// Host threads that render the workers' lines (null =
+  /// HostPool::shared()).  No simulated result depends on its size.
+  HostPool *Pool = nullptr;
 };
 
-/// Runs the ParC# farm on a fresh Mono 1.1.7 cluster and returns the
-/// elapsed virtual time.  \p Grain controls aggregation/agglomeration
-/// (Fig. 9 uses the defaults).
+/// Runs the ParC# farm on a fresh Mono 1.1.7 cluster: elapsed virtual
+/// time, image checksum and recovery outcome.  \p Grain controls
+/// aggregation/agglomeration (Fig. 9 uses the defaults).
 FarmResult runScooppRayFarm(std::shared_ptr<const RayJob> Job,
                             FarmConfig Config,
                             scoopp::GrainPolicy Grain = scoopp::GrainPolicy());
@@ -145,6 +164,20 @@ FarmResult runRmiRayFarm(std::shared_ptr<const RayJob> Job, FarmConfig Config);
 /// master; ranks 1..Processors render (so the world holds one extra
 /// rank).
 FarmResult runMpiRayFarm(std::shared_ptr<const RayJob> Job, FarmConfig Config);
+
+/// Tags of the MPI farm protocol.
+enum MpiFarmTag : int {
+  TagWork = 1,   ///< (y0, y1) line block.
+  TagDone = 2,   ///< No more work; report results.
+  TagResult = 3, ///< (checksum, row bytes, rows in image order).
+};
+
+/// One worker rank of the MPI farm: renders the line blocks rank 0 sends
+/// until TagDone, then sends rank 0 its rows, explicitly packed.  A block
+/// that fails to decode or lies outside the frame is dropped.
+sim::Task<void> mpiRayWorker(mpi::MpiComm Comm,
+                             std::shared_ptr<const RayJob> Job,
+                             HostPool *Pool);
 
 /// Sequential execution time of the whole frame under \p Vm (the paper's
 /// VM comparison), plus the reference checksum.

@@ -6,9 +6,12 @@
 
 #include "apps/ray/Scene.h"
 
+#include "support/HostPool.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <future>
 
 using namespace parcs::apps::ray;
 
@@ -132,11 +135,22 @@ LineResult Scene::renderLine(int Y, int Width, int Height,
 }
 
 RenderStats Scene::renderWhole(int Width, int Height, int MaxDepth) const {
+  HostPool &Pool = HostPool::shared();
+  std::vector<std::future<RenderStats>> Lines;
+  Lines.reserve(static_cast<size_t>(Height));
+  for (int Y = 0; Y < Height; ++Y)
+    Lines.push_back(Pool.submit([this, Y, Width, Height, MaxDepth] {
+      LineResult Line = renderLine(Y, Width, Height, MaxDepth);
+      return RenderStats{Line.Ops, lineChecksum(Line.Rgb)};
+    }));
+  // The tasks read *this: let every one finish before a get() can throw.
+  for (std::future<RenderStats> &Line : Lines)
+    Line.wait();
   RenderStats Stats;
-  for (int Y = 0; Y < Height; ++Y) {
-    LineResult Line = renderLine(Y, Width, Height, MaxDepth);
-    Stats.TotalOps += Line.Ops;
-    Stats.Checksum += lineChecksum(Line.Rgb);
+  for (std::future<RenderStats> &Line : Lines) {
+    RenderStats One = Line.get();
+    Stats.TotalOps += One.TotalOps;
+    Stats.Checksum += One.Checksum;
   }
   return Stats;
 }

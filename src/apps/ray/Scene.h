@@ -77,11 +77,12 @@ public:
   /// Ops counts intersection tests and shading operations.
   LineResult renderLine(int Y, int Width, int Height, int MaxDepth = 3) const;
 
-  /// Renders the whole frame and accumulates ops + a pixel checksum.
+  /// Renders the whole frame, its lines in parallel on
+  /// HostPool::shared(), and sums ops + pixel checksums over the lines.
   RenderStats renderWhole(int Width, int Height, int MaxDepth = 3) const;
 
-  /// FNV-1a over a pixel row, combined into \p Seed (order-insensitive
-  /// composition across lines uses addition, so farms can sum partials).
+  /// FNV-1a over a pixel row.  A frame's checksum is the sum over its
+  /// lines, so farms can add up partial checksums in any order.
   static uint64_t lineChecksum(const std::vector<uint8_t> &Rgb);
 
   size_t sphereCount() const { return Spheres.size(); }

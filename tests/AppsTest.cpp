@@ -9,10 +9,17 @@
 #include "apps/ray/Farm.h"
 #include "apps/ray/Scene.h"
 #include "apps/sieve/Sieve.h"
+#include "mpi/Mpi.h"
+#include "net/Network.h"
+#include "support/HostPool.h"
+#include "support/Metrics.h"
+#include "support/Trace.h"
+#include "vm/Cluster.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 using namespace parcs;
 using namespace parcs::apps;
@@ -177,6 +184,109 @@ TEST(RayFarmTest, MpiFarmDeterministic) {
   ray::FarmResult B = ray::runMpiRayFarm(Job, {3});
   EXPECT_EQ(A.Elapsed, B.Elapsed);
   EXPECT_EQ(A.Checksum, B.Checksum);
+}
+
+TEST(RayFarmTest, ByteIdenticalAcrossPoolSizes) {
+  // Lines render on host threads, but the simulator consumes them in its
+  // own order and charges virtual time from their op counts alone: no
+  // result, trace or metric may depend on the pool's size.
+  auto Job = smallJob();
+  metrics::Registry &Reg = metrics::Registry::global();
+  using Runner = std::function<ray::FarmResult(ray::FarmConfig)>;
+  const std::pair<const char *, Runner> Farms[] = {
+      {"scoopp", [&](ray::FarmConfig C) { return ray::runScooppRayFarm(Job, C); }},
+      {"rmi", [&](ray::FarmConfig C) { return ray::runRmiRayFarm(Job, C); }},
+      {"mpi", [&](ray::FarmConfig C) { return ray::runMpiRayFarm(Job, C); }},
+  };
+  struct Outcome {
+    ray::FarmResult Plain, Traced;
+    std::string PlainMetrics, TracedMetrics, Trace;
+  };
+  for (const auto &[Name, Run] : Farms) {
+    std::vector<Outcome> BySize;
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      HostPool Pool(Threads);
+      ray::FarmConfig Config;
+      Config.Processors = 3;
+      Config.Pool = &Pool;
+      Outcome O;
+      Reg.reset();
+      O.Plain = Run(Config);
+      O.PlainMetrics = Reg.jsonReport();
+      Reg.reset();
+      trace::reset();
+      trace::setEnabled(true);
+      O.Traced = Run(Config);
+      trace::setEnabled(false);
+      O.Trace = trace::exportJson();
+      O.TracedMetrics = Reg.jsonReport();
+      trace::reset();
+      Reg.reset();
+      BySize.push_back(std::move(O));
+    }
+    const Outcome &One = BySize.front();
+    EXPECT_EQ(One.Plain.PixelBytes,
+              static_cast<uint64_t>(Job->Width) * Job->Height * 3)
+        << Name;
+    EXPECT_NE(One.Trace.find("net.transfer"), std::string::npos) << Name;
+    for (size_t I = 1; I < BySize.size(); ++I) {
+      SCOPED_TRACE(std::string(Name) + " pool of " +
+                   std::to_string(1u << I) + " threads");
+      const Outcome &O = BySize[I];
+      for (auto [A, B] : {std::pair{&One.Plain, &O.Plain},
+                          std::pair{&One.Traced, &O.Traced}}) {
+        EXPECT_EQ(A->Elapsed, B->Elapsed);
+        EXPECT_EQ(A->Checksum, B->Checksum);
+        EXPECT_EQ(A->PixelBytes, B->PixelBytes);
+      }
+      EXPECT_EQ(One.PlainMetrics, O.PlainMetrics);
+      EXPECT_EQ(One.TracedMetrics, O.TracedMetrics);
+      EXPECT_EQ(One.Trace, O.Trace) << "trace exports must be byte-identical";
+    }
+  }
+}
+
+/// Test master for one MPI farm worker: sends \p Blocks, then the done
+/// marker, and keeps the worker's packed result.
+sim::Task<void> sendBlocks(mpi::MpiComm Comm,
+                           std::vector<std::pair<int32_t, int32_t>> Blocks,
+                           remoting::Bytes *Result) {
+  for (auto [Y0, Y1] : Blocks)
+    co_await Comm.send(1, ray::TagWork, serial::encodeValues(Y0, Y1));
+  co_await Comm.send(1, ray::TagDone, {});
+  mpi::RecvResult In = co_await Comm.recv(1, ray::TagResult);
+  *Result = std::move(In.Data);
+}
+
+TEST(RayFarmTest, MpiWorkerDropsOutOfFrameBlocks) {
+  // A (-1, 3) block used to reach renderLine's scan-line assertion and
+  // abort the process; one past the frame was silently clipped.  Both are
+  // now dropped whole, like a block that fails to decode.
+  auto Job = smallJob();
+  vm::Cluster Machines(1, vm::VmKind::NativeCpp);
+  net::Network Net(Machines.sim(), 1);
+  mpi::MpiWorld World(Machines, Net, /*TotalRanks=*/2);
+  remoting::Bytes Result;
+  std::vector<std::pair<int32_t, int32_t>> Blocks = {
+      {-1, 3}, {2, 4}, {Job->Height - 1, Job->Height + 1}, {5, 4}};
+  World.launch([&](mpi::MpiComm Comm) -> sim::Task<void> {
+    if (Comm.rank() == 0)
+      return sendBlocks(Comm, Blocks, &Result);
+    return ray::mpiRayWorker(Comm, Job, nullptr);
+  });
+  Machines.sim().run();
+
+  serial::InputArchive In(Result);
+  uint64_t Checksum = 0;
+  uint32_t RowBytes = 0;
+  ASSERT_TRUE(In.read(Checksum) && In.read(RowBytes));
+  EXPECT_EQ(RowBytes, 2u * static_cast<uint32_t>(Job->Width) * 3)
+      << "only the in-frame block (2, 4) renders";
+  EXPECT_EQ(Checksum,
+            ray::Scene::lineChecksum(
+                Job->SceneData.renderLine(2, Job->Width, Job->Height).Rgb) +
+                ray::Scene::lineChecksum(
+                    Job->SceneData.renderLine(3, Job->Width, Job->Height).Rgb));
 }
 
 //===----------------------------------------------------------------------===//
