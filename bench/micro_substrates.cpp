@@ -111,7 +111,22 @@ void BM_Base64Encode(benchmark::State &State) {
     benchmark::DoNotOptimize(serial::base64Encode(Data));
   State.SetBytesProcessed(State.iterations() * State.range(0));
 }
-BENCHMARK(BM_Base64Encode)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Base64Encode)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+
+/// Range is the decoded payload size; bytes processed counts that payload.
+void BM_Base64Decode(benchmark::State &State) {
+  Rng R(1);
+  serial::Bytes Data(static_cast<size_t>(State.range(0)));
+  for (uint8_t &B : Data)
+    B = static_cast<uint8_t>(R.nextBelow(256));
+  std::string Text = serial::base64Encode(Data);
+  for (auto _ : State) {
+    auto Back = serial::base64Decode(Text);
+    benchmark::DoNotOptimize(Back);
+  }
+  State.SetBytesProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_Base64Decode)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 void BM_SoapEnvelopeRoundTrip(benchmark::State &State) {
   serial::Bytes Payload(4096, 0x5a);

@@ -10,7 +10,9 @@
 /// model are the sizes of real encoded buffers.
 ///
 /// Encoding: little-endian fixed-width integers, IEEE doubles via bit_cast,
-/// strings and vectors length-prefixed with uint32.  Reads are
+/// strings and vectors length-prefixed with uint32.  Numeric arrays are
+/// copied as one byte block on little-endian hosts, where the in-memory
+/// bytes are already the wire bytes.  Reads are
 /// bounds-checked: InputArchive never reads past the buffer and turns
 /// malformed input into a sticky failure state (checked via ok() or the
 /// per-read bool), since wire bytes are *input*, not trusted state.
@@ -22,6 +24,7 @@
 
 #include "support/Error.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -35,6 +38,25 @@
 namespace parcs::serial {
 
 using Bytes = std::vector<uint8_t>;
+
+/// Element types whose std::vector is encoded and decoded as one byte block:
+/// fixed-width numbers on a little-endian host, whose memory already holds
+/// the wire bytes.  bool keeps the element loop, since any nonzero wire byte
+/// must decode to a canonical true.
+template <typename T>
+inline constexpr bool IsBlockCopyable =
+    std::endian::native == std::endian::little &&
+    ((std::is_integral_v<T> && !std::is_same_v<T, bool>) ||
+     std::is_same_v<T, float> || std::is_same_v<T, double>);
+
+namespace detail {
+/// Bulk byte moves for the archives, kept out of line: once a bulk vector
+/// insert or memcpy is inlined into its callers (coroutine bodies, tests
+/// with constant-size buffers), GCC 12 raises -Wstringop-overflow,
+/// -Wstringop-overread and -Warray-bounds false positives on it.
+void appendBytes(Bytes &Out, const uint8_t *Data, size_t Size);
+void copyBytes(void *Dst, const uint8_t *Src, size_t Size);
+} // namespace detail
 
 /// Appends encoded values to a byte buffer.
 class OutputArchive {
@@ -77,20 +99,16 @@ public:
 
   /// Byte-identical to write(const std::string &) -- lets the envelope
   /// encoders write names without materialising a std::string temporary.
-  /// Inserts via raw pointers: char iterators here trip a GCC 12
-  /// -Wstringop-overflow false positive when inlined into encodeValues.
   void write(std::string_view Value) {
     write(static_cast<uint32_t>(Value.size()));
-    const auto *Data = reinterpret_cast<const uint8_t *>(Value.data());
-    Buffer.insert(Buffer.end(), Data, Data + Value.size());
+    writeRaw(reinterpret_cast<const uint8_t *>(Value.data()), Value.size());
   }
 
   template <typename T> void write(const std::vector<T> &Values) {
     write(static_cast<uint32_t>(Values.size()));
-    if constexpr (std::is_arithmetic_v<T>) {
-      // Hot path for numeric arrays (the ping-pong payloads).
-      for (const T &Value : Values)
-        write(Value);
+    if constexpr (IsBlockCopyable<T>) {
+      writeRaw(reinterpret_cast<const uint8_t *>(Values.data()),
+               Values.size() * sizeof(T));
     } else {
       for (const T &Value : Values)
         write(Value);
@@ -122,7 +140,7 @@ public:
 
   /// Appends raw bytes without a length prefix.
   void writeRaw(const uint8_t *Data, size_t Size) {
-    Buffer.insert(Buffer.end(), Data, Data + Size);
+    detail::appendBytes(Buffer, Data, Size);
   }
   void writeRaw(const Bytes &Data) { writeRaw(Data.data(), Data.size()); }
 
@@ -202,7 +220,15 @@ public:
     // Reject counts that cannot possibly fit in the remaining bytes, so a
     // corrupt length cannot trigger a huge allocation.  Every element
     // encoding occupies at least one byte.
-    if constexpr (std::is_arithmetic_v<T>) {
+    if constexpr (IsBlockCopyable<T>) {
+      size_t Len = static_cast<size_t>(Count) * sizeof(T);
+      if (!require(Len))
+        return false;
+      Out.resize(Count);
+      detail::copyBytes(Out.data(), Data + Pos, Len);
+      Pos += Len;
+      return true;
+    } else if constexpr (std::is_arithmetic_v<T>) {
       if (!require(static_cast<size_t>(Count) * sizeof(T)))
         return false;
     } else if (Count > remaining()) {

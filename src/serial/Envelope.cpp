@@ -31,41 +31,42 @@ const char *parcs::serial::wireFormatName(WireFormat Format) {
 // Base64
 //===----------------------------------------------------------------------===//
 
-static const char Base64Alphabet[] =
+static constexpr char Base64Alphabet[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 // PARCS_HOT_BEGIN(base64-encode): runs once per SOAP-framed message body.
 
-/// Core encoder appending to any container with push_back(char)/reserve
-/// (std::string for the public helper, Bytes for the envelope hot path).
+/// Core encoder appending to a std::string (the public helper) or Bytes
+/// (the envelope hot path): sizes the output once, then writes four chars
+/// per input triple through a pointer.
 template <typename Container>
 static void base64EncodeImpl(const Bytes &Data, Container &Out) {
-  Out.reserve(Out.size() + (Data.size() + 2) / 3 * 4);
+  using Char = typename Container::value_type;
+  size_t Start = Out.size();
+  Out.resize(Start + (Data.size() + 2) / 3 * 4);
+  Char *Dst = Out.data() + Start;
+  const uint8_t *Src = Data.data();
+  auto Emit = [&Dst](uint32_t Triple) {
+    Dst[0] = static_cast<Char>(Base64Alphabet[(Triple >> 18) & 0x3f]);
+    Dst[1] = static_cast<Char>(Base64Alphabet[(Triple >> 12) & 0x3f]);
+    Dst[2] = static_cast<Char>(Base64Alphabet[(Triple >> 6) & 0x3f]);
+    Dst[3] = static_cast<Char>(Base64Alphabet[Triple & 0x3f]);
+  };
   size_t I = 0;
-  for (; I + 3 <= Data.size(); I += 3) {
-    uint32_t Triple = (static_cast<uint32_t>(Data[I]) << 16) |
-                      (static_cast<uint32_t>(Data[I + 1]) << 8) |
-                      static_cast<uint32_t>(Data[I + 2]);
-    Out.push_back(Base64Alphabet[(Triple >> 18) & 0x3f]);
-    Out.push_back(Base64Alphabet[(Triple >> 12) & 0x3f]);
-    Out.push_back(Base64Alphabet[(Triple >> 6) & 0x3f]);
-    Out.push_back(Base64Alphabet[Triple & 0x3f]);
-  }
+  for (; I + 3 <= Data.size(); I += 3, Dst += 4)
+    Emit((static_cast<uint32_t>(Src[I]) << 16) |
+         (static_cast<uint32_t>(Src[I + 1]) << 8) |
+         static_cast<uint32_t>(Src[I + 2]));
   size_t Rest = Data.size() - I;
-  if (Rest == 1) {
-    uint32_t Triple = static_cast<uint32_t>(Data[I]) << 16;
-    Out.push_back(Base64Alphabet[(Triple >> 18) & 0x3f]);
-    Out.push_back(Base64Alphabet[(Triple >> 12) & 0x3f]);
-    Out.push_back('=');
-    Out.push_back('=');
-  } else if (Rest == 2) {
-    uint32_t Triple = (static_cast<uint32_t>(Data[I]) << 16) |
-                      (static_cast<uint32_t>(Data[I + 1]) << 8);
-    Out.push_back(Base64Alphabet[(Triple >> 18) & 0x3f]);
-    Out.push_back(Base64Alphabet[(Triple >> 12) & 0x3f]);
-    Out.push_back(Base64Alphabet[(Triple >> 6) & 0x3f]);
-    Out.push_back('=');
-  }
+  if (Rest == 0)
+    return;
+  uint32_t Triple = static_cast<uint32_t>(Src[I]) << 16;
+  if (Rest == 2)
+    Triple |= static_cast<uint32_t>(Src[I + 1]) << 8;
+  Emit(Triple);
+  Dst[3] = static_cast<Char>('=');
+  if (Rest == 1)
+    Dst[2] = static_cast<Char>('=');
 }
 
 std::string parcs::serial::base64Encode(const Bytes &Data) {
@@ -80,56 +81,84 @@ void parcs::serial::base64EncodeInto(const Bytes &Data, Bytes &Out) {
 
 // PARCS_HOT_END
 
-static int base64Value(char C) {
-  if (C >= 'A' && C <= 'Z')
-    return C - 'A';
-  if (C >= 'a' && C <= 'z')
-    return C - 'a' + 26;
-  if (C >= '0' && C <= '9')
-    return C - '0' + 52;
-  if (C == '+')
-    return 62;
-  if (C == '/')
-    return 63;
-  return -1;
-}
+namespace {
+
+/// Decode-table codes besides the 6-bit values 0..63.
+constexpr uint8_t Base64Pad = 0x40;
+constexpr uint8_t Base64Invalid = 0x80;
+
+/// The 6-bit value of every alphabet byte, Base64Pad for '=', and
+/// Base64Invalid for every other byte.
+constexpr std::array<uint8_t, 256> Base64DecodeTable = [] {
+  std::array<uint8_t, 256> Table{};
+  Table.fill(Base64Invalid);
+  for (uint8_t V = 0; V < 64; ++V)
+    Table[static_cast<unsigned char>(Base64Alphabet[V])] = V;
+  Table[static_cast<unsigned char>('=')] = Base64Pad;
+  return Table;
+}();
+
+} // namespace
 
 ErrorOr<Bytes> parcs::serial::base64Decode(std::string_view Text) {
   if (Text.size() % 4 != 0)
     return Error(ErrorCode::MalformedMessage, "base64 length not 4-aligned");
-  Bytes Out;
-  Out.reserve(Text.size() / 4 * 3);
-  for (size_t I = 0; I < Text.size(); I += 4) {
-    int Pad = 0;
-    std::array<int, 4> Vals = {0, 0, 0, 0};
-    for (size_t J = 0; J < 4; ++J) {
-      char C = Text[I + J];
-      if (C == '=') {
-        // Padding is only legal in the last two positions of the final
-        // group.
-        if (I + 4 != Text.size() || J < 2)
+  Bytes Out(Text.size() / 4 * 3);
+  if (Text.empty())
+    return Out;
+  const auto *Src = reinterpret_cast<const unsigned char *>(Text.data());
+  uint8_t *Dst = Out.data();
+  auto Emit = [&Dst](uint32_t A, uint32_t B, uint32_t C, uint32_t D) {
+    uint32_t Triple = (A << 18) | (B << 12) | (C << 6) | D;
+    Dst[0] = static_cast<uint8_t>(Triple >> 16);
+    Dst[1] = static_cast<uint8_t>(Triple >> 8);
+    Dst[2] = static_cast<uint8_t>(Triple);
+    Dst += 3;
+  };
+
+  // Every group but the last: padding is illegal there, so one test per
+  // quad catches both a pad and an invalid character.
+  size_t Last = Text.size() - 4;
+  for (size_t I = 0; I < Last; I += 4) {
+    uint32_t A = Base64DecodeTable[Src[I]];
+    uint32_t B = Base64DecodeTable[Src[I + 1]];
+    uint32_t C = Base64DecodeTable[Src[I + 2]];
+    uint32_t D = Base64DecodeTable[Src[I + 3]];
+    if ((A | B | C | D) & (Base64Pad | Base64Invalid)) {
+      // Report the first offending character, as a left-to-right scan
+      // would.
+      for (size_t J = 0; J < 4; ++J) {
+        uint8_t V = Base64DecodeTable[Src[I + J]];
+        if (V == Base64Pad)
           return Error(ErrorCode::MalformedMessage, "misplaced base64 pad");
-        ++Pad;
-        Vals[J] = 0;
-        continue;
+        if (V == Base64Invalid)
+          return Error(ErrorCode::MalformedMessage,
+                       "invalid base64 character");
       }
-      if (Pad > 0)
-        return Error(ErrorCode::MalformedMessage, "data after base64 pad");
-      int V = base64Value(C);
-      if (V < 0)
-        return Error(ErrorCode::MalformedMessage, "invalid base64 character");
-      Vals[J] = V;
     }
-    uint32_t Triple = (static_cast<uint32_t>(Vals[0]) << 18) |
-                      (static_cast<uint32_t>(Vals[1]) << 12) |
-                      (static_cast<uint32_t>(Vals[2]) << 6) |
-                      static_cast<uint32_t>(Vals[3]);
-    Out.push_back(static_cast<uint8_t>((Triple >> 16) & 0xff));
-    if (Pad < 2)
-      Out.push_back(static_cast<uint8_t>((Triple >> 8) & 0xff));
-    if (Pad < 1)
-      Out.push_back(static_cast<uint8_t>(Triple & 0xff));
+    Emit(A, B, C, D);
   }
+
+  // The final group: a pad is legal in its last two positions, and only
+  // pads may follow one.
+  std::array<uint32_t, 4> Vals = {0, 0, 0, 0};
+  size_t Pad = 0;
+  for (size_t J = 0; J < 4; ++J) {
+    uint8_t V = Base64DecodeTable[Src[Last + J]];
+    if (V == Base64Pad) {
+      if (J < 2)
+        return Error(ErrorCode::MalformedMessage, "misplaced base64 pad");
+      ++Pad;
+      continue;
+    }
+    if (Pad > 0)
+      return Error(ErrorCode::MalformedMessage, "data after base64 pad");
+    if (V == Base64Invalid)
+      return Error(ErrorCode::MalformedMessage, "invalid base64 character");
+    Vals[J] = V;
+  }
+  Emit(Vals[0], Vals[1], Vals[2], Vals[3]);
+  Out.resize(Out.size() - Pad);
   return Out;
 }
 
@@ -147,8 +176,9 @@ constexpr uint16_t JavaStreamVersion = 5;
 
 // PARCS_HOT_BEGIN(envelope-framing): the encoders run once per message on
 // the send path; they must append into the caller's reused buffer without
-// intermediate std::string temporaries.  (The decoders below are *not* hot:
-// remoting unframes zero-copy and only these fallbacks materialise copies.)
+// intermediate std::string temporaries.  The decoders below run once per
+// received message and copy the payload out of the wire buffer; the SOAP
+// decoder also base64-decodes every Http body.
 
 void encodeMpiPackInto(const Bytes &Payload, Bytes &Out) {
   OutputArchive Archive(std::move(Out));
