@@ -12,7 +12,6 @@
 #include "net/Network.h"
 #include "remoting/Engine.h"
 #include "support/Metrics.h"
-#include "support/TelemetrySink.h"
 #include "support/Trace.h"
 #include "vm/Cluster.h"
 
@@ -58,6 +57,11 @@ vm::VmKind vmFor(remoting::StackKind Stack) {
   return vm::VmKind::MonoVm117;
 }
 
+/// The live per-round latency series the echo drivers feed.
+metrics::Histogram &roundLatency() {
+  return metrics::Registry::global().histogramHandle("app.round.latency");
+}
+
 PingPongResult finish(sim::SimTime Elapsed, size_t PayloadBytes, int Rounds,
                       uint64_t WireBytes) {
   metrics::Registry::global().counter("pingpong.rounds").add(
@@ -90,7 +94,8 @@ parcs::apps::pingpong::runRemotingPingPong(remoting::StackKind Stack,
   struct Driver {
     static sim::Task<void> run(remoting::RpcEndpoint &Client,
                                std::vector<int32_t> Payload, int Rounds,
-                               sim::SimTime &Elapsed) {
+                               sim::SimTime &Elapsed,
+                               metrics::Histogram &RoundLatency) {
       remoting::RemoteHandle Handle(Client, 1, 1050, "echo");
       // Warm-up round (connection establishment, JIT of the path).
       (void)co_await Handle.invokeTyped<std::vector<int32_t>>("echo",
@@ -101,16 +106,17 @@ parcs::apps::pingpong::runRemotingPingPong(remoting::StackKind Stack,
         sim::SimTime RoundStart = Sim.now();
         (void)co_await Handle.invokeTyped<std::vector<int32_t>>("echo",
                                                                 Payload);
-        telemetry::record(0, "app.round.latency", Sim.now().nanosecondsCount(),
-                          (Sim.now() - RoundStart).nanosecondsCount());
+        metrics::record(RoundLatency,
+                        (Sim.now() - RoundStart).nanosecondsCount(), 0,
+                        Sim.now().nanosecondsCount());
       }
       Elapsed = Sim.now() - Start;
       trace::complete(0, 0, "pingpong.measured", Start.nanosecondsCount(),
                       Elapsed.nanosecondsCount());
     }
   };
-  Machines.sim().spawn(
-      Driver::run(Client, makePayload(PayloadBytes), Rounds, Elapsed));
+  Machines.sim().spawn(Driver::run(Client, makePayload(PayloadBytes), Rounds,
+                                   Elapsed, roundLatency()));
   Machines.sim().run();
   return finish(Elapsed, PayloadBytes, Rounds, Net.wireBytesCarried());
 }
@@ -178,7 +184,8 @@ PingPongResult parcs::apps::pingpong::runScooppPingPong(size_t PayloadBytes,
   struct Driver {
     static sim::Task<void> run(scoopp::ScooppRuntime &Runtime,
                                std::vector<int32_t> Payload, int Rounds,
-                               sim::SimTime &Elapsed) {
+                               sim::SimTime &Elapsed,
+                               metrics::Histogram &RoundLatency) {
       scoopp::ProxyBase Proxy(Runtime, 0);
       Error E = co_await Proxy.create("Echo");
       if (E)
@@ -191,16 +198,17 @@ PingPongResult parcs::apps::pingpong::runScooppPingPong(size_t PayloadBytes,
         sim::SimTime RoundStart = Sim.now();
         (void)co_await Proxy.invokeSyncTyped<std::vector<int32_t>>("echo",
                                                                    Payload);
-        telemetry::record(0, "app.round.latency", Sim.now().nanosecondsCount(),
-                          (Sim.now() - RoundStart).nanosecondsCount());
+        metrics::record(RoundLatency,
+                        (Sim.now() - RoundStart).nanosecondsCount(), 0,
+                        Sim.now().nanosecondsCount());
       }
       Elapsed = Sim.now() - Start;
       trace::complete(0, 0, "pingpong.measured", Start.nanosecondsCount(),
                       Elapsed.nanosecondsCount());
     }
   };
-  Machines.sim().spawn(
-      Driver::run(Runtime, makePayload(PayloadBytes), Rounds, Elapsed));
+  Machines.sim().spawn(Driver::run(Runtime, makePayload(PayloadBytes), Rounds,
+                                   Elapsed, roundLatency()));
   Machines.sim().run();
   return finish(Elapsed, PayloadBytes, Rounds, Net.wireBytesCarried());
 }

@@ -64,7 +64,11 @@ sim::Task<bool> renderBlock(vm::Node &Host, std::shared_ptr<const RayJob> Job,
 RayWorkerHandler::RayWorkerHandler(vm::Node &Host,
                                    std::shared_ptr<const RayJob> Job,
                                    HostPool *Pool)
-    : Host(Host), Job(std::move(Job)), Pool(Pool) {
+    : Host(Host), Job(std::move(Job)), Pool(Pool),
+      RenderBlocks(
+          metrics::Registry::global().counterHandle("ray.render_blocks")),
+      LinesRendered(
+          metrics::Registry::global().counterHandle("ray.lines_rendered")) {
   if (trace::enabled()) {
     // One trace lane per worker, numbered in per-run track registration
     // order (deterministic under the single-threaded simulator; the
@@ -87,9 +91,11 @@ RayWorkerHandler::handleCall(std::string_view Method,
       co_return Error(ErrorCode::InvalidArgument, "render line range");
     trace::complete(Host.id(), TraceTid, "ray.render_block", BlockStartNs,
                     Host.sim().now().nanosecondsCount() - BlockStartNs);
-    metrics::Registry &Reg = metrics::Registry::global();
-    Reg.counter("ray.render_blocks").add(1);
-    Reg.counter("ray.lines_rendered").add(static_cast<uint64_t>(Y1 - Y0));
+    // PARCS_HOT_BEGIN(ray-block-accounting): once per block; resolved
+    // handles only, no name lookups.
+    metrics::add(RenderBlocks, 1);
+    metrics::add(LinesRendered, static_cast<uint64_t>(Y1 - Y0));
+    // PARCS_HOT_END
     co_return remoting::Bytes{};
   }
   if (Method == "collect") {

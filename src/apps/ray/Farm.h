@@ -33,6 +33,7 @@
 #include "fault/FaultPlan.h"
 #include "mpi/Mpi.h"
 #include "rmi/Rmi.h"
+#include "support/Metrics.h"
 
 #include <memory>
 
@@ -92,6 +93,7 @@ private:
   vm::Node &Host;
   std::shared_ptr<const RayJob> Job;
   HostPool *Pool;
+  metrics::Counter &RenderBlocks, &LinesRendered;
   RenderedRows Rendered;
   /// This worker's trace lane on its node (0 when tracing is off).
   int TraceTid = 0;

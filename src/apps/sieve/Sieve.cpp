@@ -37,7 +37,7 @@ sim::Task<Error> PrimeFilterHandler::forward(std::vector<int32_t> Survivors) {
     if (E)
       co_return E;
     Next = std::move(Proxy);
-    metrics::Registry::global().counter("sieve.filters_created").add(1);
+    metrics::add(FiltersCreated, 1);
     trace::instant(Host.id(), 0, "sieve.filter_spawn",
                    Host.sim().now().nanosecondsCount());
   }
@@ -89,9 +89,11 @@ PrimeFilterHandler::processInOrder(std::vector<int32_t> Numbers) {
                                  static_cast<double>(BatchTests)));
   trace::complete(Host.id(), 0, "sieve.filter_batch", BatchStartNs,
                   Host.sim().now().nanosecondsCount() - BatchStartNs);
-  metrics::Registry &Reg = metrics::Registry::global();
-  Reg.counter("sieve.batches").add(1);
-  Reg.counter("sieve.tests").add(BatchTests);
+  // PARCS_HOT_BEGIN(sieve-batch-accounting): once per batch; resolved
+  // handles only, no name lookups.
+  metrics::add(Batches, 1);
+  metrics::add(TestCount, BatchTests);
+  // PARCS_HOT_END
   if (!Survivors.empty()) {
     Error E = co_await forward(std::move(Survivors));
     if (E)

@@ -34,6 +34,7 @@
 
 #include "core/Proxy.h"
 #include "core/Scoopp.h"
+#include "support/Metrics.h"
 
 #include <map>
 
@@ -53,7 +54,11 @@ class PrimeFilterHandler : public remoting::CallHandler {
 public:
   PrimeFilterHandler(scoopp::ScooppRuntime &Runtime, vm::Node &Host,
                      std::shared_ptr<const SieveJob> Job)
-      : Runtime(Runtime), Host(Host), Job(std::move(Job)) {}
+      : Runtime(Runtime), Host(Host), Job(std::move(Job)),
+        FiltersCreated(metrics::Registry::global().counterHandle(
+            "sieve.filters_created")),
+        Batches(metrics::Registry::global().counterHandle("sieve.batches")),
+        TestCount(metrics::Registry::global().counterHandle("sieve.tests")) {}
 
   sim::Task<ErrorOr<remoting::Bytes>>
   handleCall(std::string_view Method, const remoting::Bytes &Args) override;
@@ -69,6 +74,7 @@ private:
   scoopp::ScooppRuntime &Runtime;
   vm::Node &Host;
   std::shared_ptr<const SieveJob> Job;
+  metrics::Counter &FiltersCreated, &Batches, &TestCount;
   std::vector<int32_t> Primes;
   std::unique_ptr<scoopp::ProxyBase> Next;
   uint64_t Tests = 0;

@@ -10,7 +10,6 @@
 #include "support/Compiler.h"
 #include "support/Logging.h"
 #include "support/Metrics.h"
-#include "support/TelemetrySink.h"
 #include "support/Trace.h"
 #include "vm/Calibration.h"
 
@@ -78,7 +77,7 @@ sim::Task<int> ObjectManager::probeLoad(int Peer, int Fallback) {
 
 sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
   (void)ClassName; // Placement is currently class-independent.
-  metrics::Registry::global().counter("om.placements").add(1);
+  metrics::add(Runtime.instruments().Placements, 1);
   int Nodes = Runtime.nodeCount();
   // Failure awareness: a node the health tracker marked down is skipped,
   // and so is one the backpressure tracker marked saturated -- handing a
@@ -94,13 +93,13 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
     if (!Runtime.nodeHealthy(Node))
       return false;
     if (Runtime.nodeSaturated(Node)) {
-      metrics::Registry::global().counter("om.creations_deferred").add(1);
+      metrics::add(Runtime.instruments().CreationsDeferred, 1);
       return false;
     }
     return true;
   };
   auto degraded = [&] {
-    metrics::Registry::global().counter("om.placements_degraded").add(1);
+    metrics::add(Runtime.instruments().PlacementsDegraded, 1);
     return NodeId;
   };
   switch (Runtime.config().Placement) {
@@ -217,7 +216,7 @@ sim::Task<ErrorOr<ParallelRef>> ObjectManager::migrate(std::string Name,
   // dropped the park and the parked calls; client retries re-execute them
   // through the wiped dedup entries -- standard crash recovery).
   uint64_t Epoch = Runtime.cluster().node(NodeId).epoch();
-  metrics::Registry::global().counter("om.migrations_started").add(1);
+  metrics::add(Runtime.instruments().MigrationsStarted, 1);
   trace::instant(NodeId, 0, "om.migrate.begin",
                  Runtime.sim().now().nanosecondsCount());
 
@@ -226,7 +225,7 @@ sim::Task<ErrorOr<ParallelRef>> ObjectManager::migrate(std::string Name,
     return !Src.alive() || Src.epoch() != Epoch;
   };
   auto Abort = [&](Error E) {
-    metrics::Registry::global().counter("om.migrations_aborted").add(1);
+    metrics::add(Runtime.instruments().MigrationsAborted, 1);
     trace::instant(NodeId, 0, "om.migrate.abort",
                    Runtime.sim().now().nanosecondsCount());
     if (!Died())
@@ -294,9 +293,8 @@ sim::Task<ErrorOr<ParallelRef>> ObjectManager::migrate(std::string Name,
   Runtime.noteMigrated(ParallelRef{NodeId, Name},
                        ParallelRef{DstNode, NewName});
   int64_t DoneNs = Runtime.sim().now().nanosecondsCount();
-  metrics::Registry::global().counter("om.migrations").add(1);
+  metrics::add(Runtime.instruments().Migrations, 1, NodeId, DoneNs);
   trace::instant(NodeId, 0, "om.migrate.done", DoneNs);
-  telemetry::count(NodeId, "om.migrations", DoneNs);
   co_return ParallelRef{DstNode, std::move(NewName)};
 }
 

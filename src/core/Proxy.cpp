@@ -34,10 +34,9 @@ ProxyBase::~ProxyBase() {
 vm::Node &ProxyBase::node() { return Runtime.cluster().node(Home); }
 
 void ProxyBase::recordCreateDecision(bool Agglomerated) {
-  metrics::Registry::global()
-      .counter(Agglomerated ? "scoopp.creations_agglomerated"
-                            : "scoopp.creations_parallel")
-      .add(1);
+  ScooppInstruments &I = Runtime.instruments();
+  metrics::add(Agglomerated ? I.CreationsAgglomerated : I.CreationsParallel,
+               1);
   if (!trace::enabled())
     return;
   // Both cumulative series are sampled on every decision, so the trace
@@ -128,9 +127,7 @@ sim::Task<Error> ProxyBase::create(std::string ClassName) {
         // retries: degrade to local agglomeration rather than fail the
         // creation -- the paper's grain machinery makes a local IO
         // semantically equivalent, just less parallel.
-        metrics::Registry::global()
-            .counter("scoopp.creations_failover")
-            .add(1);
+        metrics::add(Runtime.instruments().CreationsFailover, 1);
         trace::instant(Home, 0, "fault.create_failover",
                        node().sim().now().nanosecondsCount());
         PARCS_LOG(Warn, "scoopp: create of '"
@@ -298,11 +295,13 @@ size_t ProxyBase::pendingCalls() const {
 sim::Task<void> ProxyBase::shipPacked(std::string Method,
                                       std::vector<BufferedCall> Calls) {
   assert(!Calls.empty() && "shipping an empty aggregate");
+  // PARCS_HOT_BEGIN(pack-accounting): once per packed message; resolved
+  // handles only, no name lookups.
   ++Runtime.stats().PackedMessages;
   Runtime.stats().PackedCalls += Calls.size();
-  metrics::Registry::global()
-      .histogram("scoopp.pack_size_calls")
-      .record(static_cast<int64_t>(Calls.size()));
+  metrics::record(Runtime.instruments().PackSizeCalls,
+                  static_cast<int64_t>(Calls.size()));
+  // PARCS_HOT_END
   if (trace::enabled()) {
     int64_t NowNs = node().sim().now().nanosecondsCount();
     trace::instant(Home, 0, "scoopp.agg_flush", NowNs);
@@ -321,9 +320,10 @@ sim::Task<void> ProxyBase::shipPacked(std::string Method,
   // carries its own context inside the payload.
   uint64_t ShipCtx = Calls.back().Ctx;
   Bytes Payload = encodePackedCalls(Calls);
-  metrics::Registry::global()
-      .histogram("scoopp.packed_msg_bytes")
-      .record(static_cast<int64_t>(Payload.size()));
+  // PARCS_HOT_BEGIN(packed-bytes-accounting)
+  metrics::record(Runtime.instruments().PackedMsgBytes,
+                  static_cast<int64_t>(Payload.size()));
+  // PARCS_HOT_END
   co_await remoteHandle().invokeOneWay(PackedMethodPrefix + Method,
                                        std::move(Payload), ShipCtx);
 }

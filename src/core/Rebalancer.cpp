@@ -30,12 +30,12 @@ void SloRebalancer::onEdge(const telemetry::SloSpec &Spec, bool Breach,
   if (!Breach)
     return;
   ++Breaches;
-  metrics::Registry::global().counter("om.rebalance_breaches").add(1);
+  metrics::add(Runtime.instruments().RebalanceBreaches, 1);
   if (Busy || Triggered >= static_cast<uint64_t>(Pol.MaxMigrations) ||
       (LastMoveNs >= 0 &&
        AtNs - LastMoveNs < Pol.Cooldown.nanosecondsCount())) {
     ++Skipped;
-    metrics::Registry::global().counter("om.rebalance_skipped").add(1);
+    metrics::add(Runtime.instruments().RebalanceSkipped, 1);
     return;
   }
   PARCS_LOG(Info, "rebalancer: slo breach on '" << Spec.Series
@@ -73,7 +73,7 @@ sim::Task<void> SloRebalancer::rebalanceOnce() {
   }
   if (Hot < 0 || Cold < 0 || HotLoad - ColdLoad < Pol.MinLoadGap) {
     ++Skipped;
-    metrics::Registry::global().counter("om.rebalance_skipped").add(1);
+    metrics::add(Runtime.instruments().RebalanceSkipped, 1);
     Busy = false;
     co_return;
   }
@@ -89,13 +89,13 @@ sim::Task<void> SloRebalancer::rebalanceOnce() {
   }
   if (Victim.empty()) {
     ++Skipped;
-    metrics::Registry::global().counter("om.rebalance_skipped").add(1);
+    metrics::add(Runtime.instruments().RebalanceSkipped, 1);
     Busy = false;
     co_return;
   }
   ++Triggered;
   LastMoveNs = Runtime.sim().now().nanosecondsCount();
-  metrics::Registry::global().counter("om.rebalance_migrations").add(1);
+  metrics::add(Runtime.instruments().RebalanceMigrations, 1);
   trace::instant(Hot, 0, "om.rebalance.migrate", LastMoveNs);
   PARCS_LOG(Info, "rebalancer: migrating '" << Victim << "' from node " << Hot
                                             << " (load " << HotLoad
@@ -105,7 +105,7 @@ sim::Task<void> SloRebalancer::rebalanceOnce() {
   if (Moved) {
     ++Succeeded;
   } else {
-    metrics::Registry::global().counter("om.rebalance_failed").add(1);
+    metrics::add(Runtime.instruments().RebalanceFailed, 1);
     PARCS_LOG(Warn, "rebalancer: migration of '"
                         << Victim << "' failed: " << Moved.error().str());
   }

@@ -99,11 +99,33 @@ private:
 
 } // namespace
 
+ScooppInstruments::ScooppInstruments(metrics::Registry &Reg)
+    : CreationsAgglomerated(Reg.counterHandle("scoopp.creations_agglomerated")),
+      CreationsParallel(Reg.counterHandle("scoopp.creations_parallel")),
+      CreationsFailover(Reg.counterHandle("scoopp.creations_failover")),
+      PackSizeCalls(Reg.histogramHandle("scoopp.pack_size_calls")),
+      PackedMsgBytes(Reg.histogramHandle("scoopp.packed_msg_bytes")),
+      Placements(Reg.counterHandle("om.placements")),
+      CreationsDeferred(Reg.counterHandle("om.creations_deferred")),
+      PlacementsDegraded(Reg.counterHandle("om.placements_degraded")),
+      MigrationsStarted(Reg.counterHandle("om.migrations_started")),
+      MigrationsAborted(Reg.counterHandle("om.migrations_aborted")),
+      Migrations(Reg.counterHandle("om.migrations")),
+      NodeUp(Reg.counterHandle("om.node_up")),
+      NodeDown(Reg.counterHandle("om.node_down")),
+      CallsShed(Reg.counterHandle("om.calls_shed")),
+      NodeSaturated(Reg.counterHandle("om.node_saturated")),
+      RebalanceBreaches(Reg.counterHandle("om.rebalance_breaches")),
+      RebalanceSkipped(Reg.counterHandle("om.rebalance_skipped")),
+      RebalanceMigrations(Reg.counterHandle("om.rebalance_migrations")),
+      RebalanceFailed(Reg.counterHandle("om.rebalance_failed")) {}
+
 ScooppRuntime::ScooppRuntime(vm::Cluster &Cluster, net::Network &Net,
                              ParallelClassRegistry Registry,
                              ScooppConfig Config)
     : Cluster(Cluster), Net(Net), Registry(std::move(Registry)),
-      Config(Config), Random(Config.Seed) {
+      Config(Config), Instruments(metrics::Registry::global()),
+      Random(Config.Seed) {
   int Nodes = Cluster.nodeCount();
   NextImplId.assign(static_cast<size_t>(Nodes), 0);
   FailStreak.assign(static_cast<size_t>(Nodes), 0);
@@ -158,7 +180,7 @@ void ScooppRuntime::noteCallOutcome(int Node, bool Ok) {
     SaturatedAtNs[Idx] = -1;
     if (Down[Idx]) {
       Down[Idx] = 0;
-      metrics::Registry::global().counter("om.node_up").add(1);
+      metrics::add(Instruments.NodeUp, 1);
       trace::instant(Node, 0, "om.node_up",
                      sim().now().nanosecondsCount());
       PARCS_LOG(Info, "scoopp: node " << Node << " is healthy again");
@@ -169,7 +191,7 @@ void ScooppRuntime::noteCallOutcome(int Node, bool Ok) {
     return;
   if (++FailStreak[Idx] >= Config.NodeFailureThreshold) {
     Down[Idx] = 1;
-    metrics::Registry::global().counter("om.node_down").add(1);
+    metrics::add(Instruments.NodeDown, 1);
     trace::instant(Node, 0, "om.node_down",
                    sim().now().nanosecondsCount());
     PARCS_LOG(Warn, "scoopp: node " << Node << " marked down after "
@@ -182,10 +204,10 @@ void ScooppRuntime::noteOverloaded(int Node) {
   if (Node < 0 || Node >= static_cast<int>(SaturatedAtNs.size()))
     return;
   // The deterministic load-shed residue the experiments read.
-  metrics::Registry::global().counter("om.calls_shed").add(1);
+  metrics::add(Instruments.CallsShed, 1);
   int64_t NowNs = sim().now().nanosecondsCount();
   if (!nodeSaturated(Node)) {
-    metrics::Registry::global().counter("om.node_saturated").add(1);
+    metrics::add(Instruments.NodeSaturated, 1);
     trace::instant(Node, 0, "om.node_saturated", NowNs);
     PARCS_LOG(Info, "scoopp: node " << Node
                                     << " saturated (admission refusals)");

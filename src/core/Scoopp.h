@@ -39,6 +39,7 @@
 #include "net/Network.h"
 #include "remoting/Engine.h"
 #include "remoting/Remoting.h"
+#include "support/Metrics.h"
 #include "support/Random.h"
 #include "vm/Cluster.h"
 
@@ -202,6 +203,22 @@ struct ScooppStats {
   uint64_t PackedCalls = 0; ///< Calls shipped inside packed messages.
 };
 
+/// The runtime's instruments, resolved once when it boots; proxies, object
+/// managers and the rebalancer update them through
+/// ScooppRuntime::instruments().
+struct ScooppInstruments {
+  explicit ScooppInstruments(metrics::Registry &Reg);
+
+  metrics::Counter &CreationsAgglomerated, &CreationsParallel,
+      &CreationsFailover;
+  metrics::Histogram &PackSizeCalls, &PackedMsgBytes;
+  metrics::Counter &Placements, &CreationsDeferred, &PlacementsDegraded;
+  metrics::Counter &MigrationsStarted, &MigrationsAborted, &Migrations;
+  metrics::Counter &NodeUp, &NodeDown, &CallsShed, &NodeSaturated;
+  metrics::Counter &RebalanceBreaches, &RebalanceSkipped,
+      &RebalanceMigrations, &RebalanceFailed;
+};
+
 /// Boots one ParC# runtime over an existing cluster + network: per node an
 /// RpcEndpoint, an ObjectManager and an object factory.
 class ScooppRuntime {
@@ -231,6 +248,7 @@ public:
 
   ScooppStats &stats() { return Stats; }
   const ScooppStats &stats() const { return Stats; }
+  ScooppInstruments &instruments() { return Instruments; }
   Rng &rng() { return Random; }
 
   //===--------------------------------------------------------------------===//
@@ -311,6 +329,7 @@ private:
   /// Migration route table: origin (node, name) -> current home.
   std::map<std::pair<int, std::string>, ParallelRef> Routes;
   ScooppStats Stats;
+  ScooppInstruments Instruments;
   Rng Random;
 };
 

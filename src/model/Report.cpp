@@ -19,22 +19,6 @@ namespace {
 
 using json::Value;
 
-void appendEscaped(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += '"';
-}
-
-void appendDouble(std::string &Out, double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Out += Buf;
-}
-
 std::string fmtCell(double V) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%.6g", V);
@@ -121,31 +105,31 @@ std::string textReport(const ModelSet &Set) {
 
 std::string modelJson(const ModelSet &Set) {
   std::string Out = "{\n  \"parcs_model\": 1,\n  \"param\": ";
-  appendEscaped(Out, Set.Param);
+  json::appendString(Out, Set.Param);
   Out += ",\n  \"models\": {";
   bool First = true;
   for (const auto &[Metric, M] : Set.Models) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendEscaped(Out, Metric);
+    json::appendString(Out, Metric);
     Out += ": {\"function\": ";
-    appendEscaped(Out, M.functionStr());
+    json::appendString(Out, M.functionStr());
     Out += ", \"c0\": ";
-    appendDouble(Out, M.C0);
+    json::appendNumber(Out, M.C0);
     Out += ", \"c1\": ";
-    appendDouble(Out, M.C1);
+    json::appendNumber(Out, M.C1);
     Out += ", \"exp\": ";
-    appendDouble(Out, M.Exp);
+    json::appendNumber(Out, M.Exp);
     Out += ", \"log\": ";
-    appendDouble(Out, double(M.Log));
+    json::appendNumber(Out, double(M.Log));
     Out += ", \"points\": ";
-    appendDouble(Out, double(M.Points));
+    json::appendNumber(Out, double(M.Points));
     Out += ", \"cv_rmse\": ";
-    appendDouble(Out, M.CvRmse);
+    json::appendNumber(Out, M.CvRmse);
     Out += ", \"max_rel_err\": ";
-    appendDouble(Out, M.MaxRelErr);
+    json::appendNumber(Out, M.MaxRelErr);
     Out += ", \"r2\": ";
-    appendDouble(Out, M.R2);
+    json::appendNumber(Out, M.R2);
     Out += '}';
   }
   Out += "\n  }\n}\n";

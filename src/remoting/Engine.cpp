@@ -9,7 +9,6 @@
 #include "serial/Crc32.h"
 #include "support/Logging.h"
 #include "support/PostMortem.h"
-#include "support/TelemetrySink.h"
 #include "support/Trace.h"
 
 #include <charconv>
@@ -110,11 +109,18 @@ RpcEndpoint::RpcEndpoint(vm::Node &Host, net::Network &Net,
                          int DispatchWorkers)
     : Host(Host), Net(Net), Profile(Profile), Port(Port),
       Pool(Host, DispatchWorkers),
-      MetricsPrefix("rpc." + profileSlug(Profile.Name)) {
+      MetricsPrefix("rpc." + profileSlug(Profile.Name)),
+      CallLatency(metrics::Registry::global().histogram(MetricsPrefix +
+                                                        ".call_latency_ns")),
+      CallsDone(metrics::Registry::global().counterHandle("rpc.calls")),
+      CallLatencyLive(
+          metrics::Registry::global().histogramHandle("rpc.call.latency")),
+      OverloadShed(
+          metrics::Registry::global().counterHandle("rpc.overload_shed")),
+      OverloadRejected(
+          metrics::Registry::global().counterHandle("rpc.overload_rejected")) {
   assert(!Net.isBound(Host.id(), Port) &&
          "another endpoint is already bound to this node:port");
-  CallLatency = &metrics::Registry::global().histogram(MetricsPrefix +
-                                                       ".call_latency_ns");
   // A node crash kills every in-flight handler, so dedup entries that were
   // in progress at that moment can never complete -- left in place they
   // would suppress retries forever.  Restart wipes them (exactly the
@@ -379,9 +385,12 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
 
   ErrorOr<Bytes> Result = co_await Reply.future();
   int64_t DoneNs = Host.sim().now().nanosecondsCount();
-  CallLatency->record(DoneNs - IssuedNs);
-  telemetry::count(Host.id(), "rpc.calls", DoneNs);
-  telemetry::record(Host.id(), "rpc.call.latency", DoneNs, DoneNs - IssuedNs);
+  // PARCS_HOT_BEGIN(rpc-call-accounting): once per completed call;
+  // resolved handles only, no name lookups.
+  metrics::record(CallLatency, DoneNs - IssuedNs);
+  metrics::add(CallsDone, 1, Host.id(), DoneNs);
+  metrics::record(CallLatencyLive, DoneNs - IssuedNs, Host.id(), DoneNs);
+  // PARCS_HOT_END
   trace::asyncEndCtx(Host.id(), "rpc.call", DoneNs,
                      callSpanId(Host.id(), Port, CallId), CallCtx, ParentCtx);
   co_return Result;
@@ -704,12 +713,12 @@ sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
     // No caller is waiting for a reply, so there is nobody to hint: the
     // call is shed and the counter is its only residue.
     ++Stats.OverloadShed;
-    telemetry::count(Host.id(), "rpc.overload_shed", NowNs);
+    metrics::add(OverloadShed, 1, Host.id(), NowNs);
     trace::instant(Host.id(), 0, "rpc.overload_shed", NowNs);
     co_return;
   }
   ++Stats.OverloadRejected;
-  telemetry::count(Host.id(), "rpc.overload_rejected", NowNs);
+  metrics::add(OverloadRejected, 1, Host.id(), NowNs);
   trace::instant(Host.id(), 0, "rpc.overload_reject", NowNs);
   // Deterministic retry-after: linear in how deep past budget the backlog
   // sits, clamped to the policy's band.  Depth-proportional hints spread

@@ -449,9 +449,13 @@ private:
   EndpointStats Stats;
   /// "rpc.<profile-slug>" -- the per-channel metric namespace.
   std::string MetricsPrefix;
-  /// Round-trip latency of two-way calls, sampled as calls complete
-  /// (registry histograms have stable addresses, so caching is safe).
-  metrics::Histogram *CallLatency = nullptr;
+  /// Instruments, resolved at construction: round-trip latency of
+  /// two-way calls per stack profile, and the per-node live series.
+  metrics::Histogram &CallLatency;
+  metrics::Counter &CallsDone;
+  metrics::Histogram &CallLatencyLive;
+  metrics::Counter &OverloadShed;
+  metrics::Counter &OverloadRejected;
   /// Staging buffer for HTTP-framed content (the header needs the content
   /// length up front); capacity is reused across calls.
   mutable Bytes EnvScratch;

@@ -6,6 +6,9 @@
 
 #include "support/Json.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace parcs::json {
@@ -63,6 +66,18 @@ private:
         case 'n': C = '\n'; break;
         case 't': C = '\t'; break;
         case 'r': C = '\r'; break;
+        case 'u': {
+          // Only the \u00XX control escapes appendString() writes.
+          unsigned Code = 0;
+          const char *First = Text.data() + Pos;
+          const char *Last = Text.data() + std::min(Text.size(), Pos + 4);
+          auto [End, Ec] = std::from_chars(First, Last, Code, 16);
+          if (Ec != std::errc() || End != First + 4 || Code >= 0x80)
+            return false;
+          Pos += 4;
+          C = static_cast<char>(Code);
+          break;
+        }
         default: return false;
         }
       }
@@ -142,6 +157,43 @@ private:
 };
 
 } // namespace
+
+void appendString(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (char C : S) {
+    const char *Named = C == '"'    ? "\\\""
+                        : C == '\\' ? "\\\\"
+                        : C == '\n' ? "\\n"
+                        : C == '\t' ? "\\t"
+                        : C == '\r' ? "\\r"
+                                    : nullptr;
+    if (Named) {
+      Out += Named;
+    } else if (static_cast<unsigned char>(C) < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", unsigned(C));
+      Out += Buf;
+    } else {
+      Out += C;
+    }
+  }
+  Out += '"';
+}
+
+void appendNumber(std::string &Out, double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+  Out += Buf;
+}
+
+bool writeFile(const std::string &Path, std::string_view Body) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  if (!F)
+    return false;
+  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
+  bool Closed = std::fclose(F) == 0;
+  return Closed && Written == Body.size();
+}
 
 bool parse(std::string_view Text, Value &Out) {
   return Parser(Text).parse(Out);

@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small recursive-descent JSON reader shared by the offline consumers
-/// of this repo's own export formats: parcs_top over telemetry exports,
-/// and the parcs-model ingester over bench sweeps, fitted-model files and
-/// telemetry exports.  It covers exactly what those writers emit --
-/// objects, arrays, strings, numbers, bools, null; the common escapes but
-/// no \uXXXX, which no exporter produces -- and is deliberately not a
-/// general-purpose JSON library.
+/// The JSON string and number writers every exporter shares (metrics
+/// report, trace, telemetry, parcs-model, parcgen facts, parcs-lint), and
+/// a small recursive-descent reader for the offline consumers of those
+/// exports: parcs_top over telemetry exports, and the parcs-model ingester
+/// over bench sweeps, fitted-model files and telemetry exports.  The
+/// reader covers exactly what the writers emit -- objects, arrays,
+/// strings, numbers, bools, null; the common escapes and \u00XX for the
+/// control bytes appendString() escapes, but no other \uXXXX -- and is
+/// deliberately not a general-purpose JSON library.
 ///
 /// Object members keep their document order (vector of pairs, not a map):
 /// every export in this repo is already deterministically ordered, and
@@ -64,6 +66,18 @@ struct Value {
                                      : std::string_view();
   }
 };
+
+/// Appends \p S as a quoted JSON string: `"` and `\` are backslashed,
+/// \n, \t and \r escaped by name, and every other byte below 0x20 as
+/// \u00XX.  Other bytes (UTF-8 included) pass through unchanged.
+void appendString(std::string &Out, std::string_view S);
+
+/// Appends \p V formatted as "%.6g", the number format of every export.
+void appendNumber(std::string &Out, double V);
+
+/// Writes \p Body to the file at \p Path, replacing it; false on any I/O
+/// error.  How every exporter puts its document on disk.
+bool writeFile(const std::string &Path, std::string_view Body);
 
 /// Parses \p Text (which must be one complete JSON document) into \p Out.
 /// Returns false on any syntax error or trailing garbage.

@@ -7,6 +7,7 @@
 #include "support/Metrics.h"
 
 #include "support/EnvSpec.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cassert>
@@ -219,142 +220,153 @@ Registry &Registry::global() {
   return Instance;
 }
 
-Registry::Metric &Registry::find(std::string_view Name, Kind K) {
+template <class T> T &Registry::find(std::string_view Name, bool List) {
   auto It = Metrics.find(Name);
   if (It == Metrics.end()) {
-    Metric M;
-    M.MetricKind = K;
-    switch (K) {
-    case Kind::Counter:
-      M.C = std::make_unique<Counter>();
-      break;
-    case Kind::Gauge:
-      M.G = std::make_unique<Gauge>();
-      break;
-    case Kind::Histogram:
-      M.H = std::make_unique<Histogram>();
-      break;
-    }
-    It = Metrics.emplace(std::string(Name), std::move(M)).first;
+    It = Metrics.emplace(std::string(Name), Metric(std::in_place_type<T>))
+             .first;
+    T &I = std::get<T>(It->second);
+    I.Name = &It->first;
+    I.Owner = this;
+    I.Id = NextId++;
   }
-  assert(It->second.MetricKind == K && "metric name reused with another kind");
-  return It->second;
+  assert(std::holds_alternative<T>(It->second) &&
+         "metric name reused with another kind");
+  T &I = std::get<T>(It->second);
+  I.Listed |= List;
+  return I;
 }
 
-Counter &Registry::counter(std::string_view Name) {
-  return *find(Name, Kind::Counter).C;
+template Counter &Registry::find<Counter>(std::string_view, bool);
+template Gauge &Registry::find<Gauge>(std::string_view, bool);
+template Histogram &Registry::find<Histogram>(std::string_view, bool);
+
+namespace {
+
+template <class MetricT> bool isListed(const MetricT &M) {
+  return std::visit([](const Instrument &I) { return I.Listed; }, M);
 }
 
-Gauge &Registry::gauge(std::string_view Name) {
-  return *find(Name, Kind::Gauge).G;
-}
-
-Histogram &Registry::histogram(std::string_view Name) {
-  return *find(Name, Kind::Histogram).H;
-}
+} // namespace
 
 std::string Registry::textReport() const {
   size_t Width = 0;
   for (const auto &[Name, M] : Metrics)
-    Width = std::max(Width, Name.size());
+    if (isListed(M))
+      Width = std::max(Width, Name.size());
   std::ostringstream Os;
   for (const auto &[Name, M] : Metrics) {
+    if (!isListed(M))
+      continue;
     Os << Name << std::string(Width - Name.size() + 2, ' ');
-    switch (M.MetricKind) {
-    case Kind::Counter:
-      Os << M.C->value();
-      break;
-    case Kind::Gauge:
-      Os << M.G->value();
-      break;
-    case Kind::Histogram:
-      Os << M.H->str();
-      break;
-    }
+    if (const Counter *C = std::get_if<Counter>(&M))
+      Os << C->value();
+    else if (const Gauge *G = std::get_if<Gauge>(&M))
+      Os << G->value();
+    else
+      Os << std::get<Histogram>(M).str();
     Os << '\n';
   }
   return Os.str();
 }
 
-namespace {
-
-void appendJsonString(std::ostringstream &Os, std::string_view S) {
-  Os << '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Os << '\\';
-    Os << C;
-  }
-  Os << '"';
-}
-
-void appendDouble(std::ostringstream &Os, double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Os << Buf;
-}
-
-} // namespace
-
 std::string Registry::jsonReport() const {
-  std::ostringstream Os;
-  Os << "{\n";
-  for (int Pass = 0; Pass < 3; ++Pass) {
-    Kind Want = static_cast<Kind>(Pass);
-    const char *Section = Pass == 0   ? "counters"
-                          : Pass == 1 ? "gauges"
-                                      : "histograms";
-    Os << "  \"" << Section << "\": {";
+  std::string Out = "{\n";
+  for (size_t Pass = 0; Pass < 3; ++Pass) {
+    Out += Pass == 0   ? "  \"counters\": {"
+           : Pass == 1 ? "  \"gauges\": {"
+                       : "  \"histograms\": {";
     bool First = true;
     for (const auto &[Name, M] : Metrics) {
-      if (M.MetricKind != Want)
+      if (M.index() != Pass || !isListed(M))
         continue;
-      Os << (First ? "\n    " : ",\n    ");
+      Out += First ? "\n    " : ",\n    ";
       First = false;
-      appendJsonString(Os, Name);
-      Os << ": ";
-      switch (Want) {
-      case Kind::Counter:
-        Os << M.C->value();
-        break;
-      case Kind::Gauge:
-        Os << M.G->value();
-        break;
-      case Kind::Histogram: {
-        const Histogram &H = *M.H;
-        Os << "{\"n\": " << H.count() << ", \"mean\": ";
-        appendDouble(Os, H.mean());
-        Os << ", \"min\": ";
-        appendDouble(Os, double(H.min()));
-        Os << ", \"p50\": ";
-        appendDouble(Os, H.percentile(50.0));
-        Os << ", \"p90\": ";
-        appendDouble(Os, H.percentile(90.0));
-        Os << ", \"p99\": ";
-        appendDouble(Os, H.percentile(99.0));
-        Os << ", \"max\": ";
-        appendDouble(Os, double(H.max()));
-        Os << ", \"overflow\": " << H.overflowCount() << "}";
-        break;
-      }
+      json::appendString(Out, Name);
+      Out += ": ";
+      if (const Counter *C = std::get_if<Counter>(&M)) {
+        Out += std::to_string(C->value());
+      } else if (const Gauge *G = std::get_if<Gauge>(&M)) {
+        Out += std::to_string(G->value());
+      } else {
+        const Histogram &H = std::get<Histogram>(M);
+        Out += "{\"n\": " + std::to_string(H.count()) + ", \"mean\": ";
+        json::appendNumber(Out, H.mean());
+        Out += ", \"min\": ";
+        json::appendNumber(Out, double(H.min()));
+        Out += ", \"p50\": ";
+        json::appendNumber(Out, H.percentile(50.0));
+        Out += ", \"p90\": ";
+        json::appendNumber(Out, H.percentile(90.0));
+        Out += ", \"p99\": ";
+        json::appendNumber(Out, H.percentile(99.0));
+        Out += ", \"max\": ";
+        json::appendNumber(Out, double(H.max()));
+        Out += ", \"overflow\": " + std::to_string(H.overflowCount()) + "}";
       }
     }
-    Os << (First ? "}" : "\n  }") << (Pass == 2 ? "\n" : ",\n");
+    Out += First ? "}" : "\n  }";
+    Out += Pass == 2 ? "\n" : ",\n";
   }
-  Os << "}\n";
-  return Os.str();
+  Out += "}\n";
+  return Out;
 }
 
 bool Registry::writeReport(const ReportSpec &Spec) const {
-  std::FILE *F = std::fopen(Spec.Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Body = Spec.Json ? jsonReport() : textReport();
-  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-  bool Ok = Written == Body.size() && std::fclose(F) == 0;
-  if (!Ok && Written != Body.size())
-    std::fclose(F);
-  return Ok;
+  return json::writeFile(Spec.Path, Spec.Json ? jsonReport() : textReport());
+}
+
+//===----------------------------------------------------------------------===//
+// LiveWindows
+//===----------------------------------------------------------------------===//
+
+LiveWindows::LiveWindows(int NodeCount, int64_t WindowNs, ArmFn OnArm)
+    : WindowNs(WindowNs), OnArm(std::move(OnArm)),
+      Nodes(size_t(std::max(NodeCount, 0))) {
+  assert(WindowNs > 0 && "live window must be positive");
+}
+
+LiveWindows::Slot *LiveWindows::slot(const Instrument &I, int Node,
+                                     int64_t AtNs) {
+  if (Node < 0 || Node >= int(Nodes.size()))
+    return nullptr;
+  if (size_t(I.Id) >= ColumnOf.size())
+    ColumnOf.resize(size_t(I.Id) + 1, -1);
+  int &Col = ColumnOf[size_t(I.Id)];
+  if (Col < 0) {
+    Col = int(Names.size());
+    Names.push_back(*I.Name);
+  }
+  NodeWindows &NW = Nodes[size_t(Node)];
+  int64_t Index = std::max<int64_t>(0, AtNs) / WindowNs;
+  // Samples arrive in time order almost always: the open window is last.
+  auto It = NW.Pending.end();
+  while (It != NW.Pending.begin() && std::prev(It)->Index >= Index)
+    --It;
+  if (It == NW.Pending.end() || It->Index != Index)
+    It = NW.Pending.insert(It, Window{Index, {}});
+  if (size_t(Col) >= It->Slots.size())
+    It->Slots.resize(size_t(Col) + 1);
+  Slot &S = It->Slots[size_t(Col)];
+  S.Touched = true;
+  if (!NW.Armed) {
+    NW.Armed = true;
+    OnArm(Node, AtNs);
+  }
+  return &S;
+}
+
+std::vector<LiveWindows::Window> LiveWindows::takeClosed(int Node,
+                                                         int64_t FirstOpen) {
+  NodeWindows &NW = Nodes[size_t(Node)];
+  auto End = std::find_if(
+      NW.Pending.begin(), NW.Pending.end(),
+      [&](const Window &W) { return W.Index >= FirstOpen; });
+  std::vector<Window> Closed(std::make_move_iterator(NW.Pending.begin()),
+                             std::make_move_iterator(End));
+  NW.Pending.erase(NW.Pending.begin(), End);
+  NW.Armed = !NW.Pending.empty();
+  return Closed;
 }
 
 } // namespace parcs::metrics

@@ -5,19 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The metrics half of the observability subsystem: a registry of named
-/// counters, gauges and fixed-bucket latency histograms that the
+/// The one instrument API of the observability subsystem: a registry of
+/// named counters, gauges and fixed-bucket latency histograms that the
 /// instrumented layers (simulator, network, remoting, SCOOPP runtime,
-/// thread pools, apps) feed and that is rendered as a text table or JSON
-/// at the end of a run.
+/// thread pools, apps) feed, rendered as a text table or JSON at the end
+/// of a run and, for timed updates, windowed live by an attached
+/// telemetry plane.
 ///
-/// Collection is always on -- recording is an integer add (counters,
-/// gauges) or a bit-scan plus two adds (histograms), cheap enough that no
-/// enable flag is needed on any hot path.  Long-lived components update
-/// plain struct counters as before and *fold* them into the global
-/// registry when they are destroyed, so the report aggregates every
-/// simulator/network/endpoint a process created.  Reporting happens only
-/// on request, or automatically at process exit when the environment knob
+/// Owners resolve their instruments once, in their constructors
+/// (Registry::counterHandle / histogramHandle), and update them with
+/// metrics::add / metrics::record -- no name lookup on any update path.
+/// A *timed* update also names the node and sim-time it happened at; that
+/// same call feeds the node's open window of a plane attached to the
+/// registry (Registry::attach, see LiveWindows and telemetry::Plane).
+/// With no plane attached it costs the instrument update plus one load
+/// and branch, so no enable flag is needed on any hot path.  Long-lived
+/// components that keep plain struct counters *fold* them into the
+/// global registry by name when they are destroyed, so the report
+/// aggregates every simulator/network/endpoint a process created.
+/// Reporting happens only on request, or automatically at process exit
+/// when the environment knob
 ///
 ///   PARCS_METRICS=<file>[,format=text|json]
 ///
@@ -31,11 +38,12 @@
 #ifndef PARCS_SUPPORT_METRICS_H
 #define PARCS_SUPPORT_METRICS_H
 
-// <cstddef>, <limits> and <utility> are not needed here but stay: the
+// <cstddef>, <limits> and <memory> are not needed here but stay: the
 // benchmark harness compiles bench sources that get them through this
 // header, and it must keep building unchanged.
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -44,9 +52,13 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace parcs::metrics {
+
+class LiveWindows;
+class Registry;
 
 namespace detail {
 
@@ -57,8 +69,21 @@ int bucketIndex(uint64_t Value);
 
 } // namespace detail
 
+/// What makes a counter, gauge or histogram a registry instrument, set by
+/// the registry that owns it: its name, its id (a live plane's slot key),
+/// the registry whose attached plane a timed update feeds, and whether
+/// reports list it yet.  Plain values (plane windows, merged series) leave
+/// it unset.
+class Instrument {
+public:
+  const std::string *Name = nullptr;
+  Registry *Owner = nullptr;
+  int Id = -1;
+  bool Listed = false;
+};
+
 /// Monotonically increasing event count.
-class Counter {
+class Counter : public Instrument {
 public:
   void add(uint64_t N = 1) { Value_ += N; }
   uint64_t value() const { return Value_; }
@@ -69,7 +94,7 @@ private:
 
 /// A point-in-time level.  noteMax keeps the running maximum, which is
 /// how peak depths from many short-lived components fold into one value.
-class Gauge {
+class Gauge : public Instrument {
 public:
   void set(int64_t Value) {
     Value_ = Value;
@@ -99,7 +124,7 @@ private:
 /// report beyond the true maximum.  An empty histogram has no
 /// percentiles: percentile() returns the EmptyPercentile sentinel (-1,
 /// impossible for real samples, which clamp to >= 0).
-class Histogram {
+class Histogram : public Instrument {
 public:
   /// Last finite bucket bound is 2^MaxShift ns (~18 minutes).
   static constexpr int MaxShift = 40;
@@ -174,11 +199,34 @@ public:
   /// The process-wide registry every instrumented layer folds into.
   static Registry &global();
 
-  /// Finds or creates the named metric.  A name identifies exactly one
-  /// kind; asking for an existing name with a different kind asserts.
-  Counter &counter(std::string_view Name);
-  Gauge &gauge(std::string_view Name);
-  Histogram &histogram(std::string_view Name);
+  /// Finds or creates the named metric; reports list it from this call
+  /// on.  For destructor folds, one-shot reporting and tests.  A name
+  /// identifies exactly one kind; asking for an existing name with a
+  /// different kind asserts.
+  Counter &counter(std::string_view Name) { return find<Counter>(Name, true); }
+  Gauge &gauge(std::string_view Name) { return find<Gauge>(Name, true); }
+  Histogram &histogram(std::string_view Name) {
+    return find<Histogram>(Name, true);
+  }
+
+  /// Resolves an instrument handle for an owner to keep and update with
+  /// metrics::add / record.  Reports list the metric only once an update
+  /// reaches it, so resolving instruments for events that never happen
+  /// leaves the report as it was.  Handles point into the registry: none
+  /// may outlive reset().
+  Counter &counterHandle(std::string_view Name) {
+    return find<Counter>(Name, false);
+  }
+  Histogram &histogramHandle(std::string_view Name) {
+    return find<Histogram>(Name, false);
+  }
+
+  /// Attaches \p Live (nullptr detaches) as the plane every timed update
+  /// of this registry's instruments also feeds; returns the previous one.
+  LiveWindows *attach(LiveWindows *Live) {
+    return std::exchange(Attached, Live);
+  }
+  LiveWindows *attached() const { return Attached; }
 
   size_t size() const { return Metrics.size(); }
 
@@ -189,23 +237,105 @@ public:
   /// Renders per \p Spec and writes the file; returns false on I/O error.
   bool writeReport(const ReportSpec &Spec) const;
 
-  /// Drops every metric (tests).
+  /// Drops every metric (tests); every handle dangles afterwards.
   void reset() { Metrics.clear(); }
 
 private:
-  enum class Kind { Counter, Gauge, Histogram };
-  struct Metric {
-    Kind MetricKind;
-    std::unique_ptr<Counter> C;
-    std::unique_ptr<Gauge> G;
-    std::unique_ptr<Histogram> H;
-  };
-  Metric &find(std::string_view Name, Kind K);
+  /// The variant index is the report section: counters, gauges,
+  /// histograms.
+  using Metric = std::variant<Counter, Gauge, Histogram>;
+  template <class T> T &find(std::string_view Name, bool List);
 
-  /// std::map: deterministic (sorted) report order and stable addresses,
-  /// so callers may cache the returned references.
+  /// std::map: deterministic (sorted) report order and stable node
+  /// addresses, so handles stay valid while the metric exists.
   std::map<std::string, Metric, std::less<>> Metrics;
+  /// Ids are never reused, so a plane attached across reset() cannot
+  /// confuse an old instrument with a new one.
+  int NextId = 0;
+  LiveWindows *Attached = nullptr;
 };
+
+/// The open windows of a live telemetry plane, per node: each window
+/// holds one slot per instrument that a timed update reached in it,
+/// indexed by a dense column the instrument gets on its first timed
+/// update.  telemetry::Plane owns one, attaches it to the global registry
+/// and ships closed windows in-band (see telemetry/Telemetry.h).
+class LiveWindows {
+public:
+  /// One instrument's contribution to one window on one node.
+  struct Slot {
+    bool Touched = false;
+    uint64_t Count = 0; ///< Counter increments.
+    Histogram Hist;     ///< Histogram samples.
+
+    void merge(const Slot &Other) {
+      Count += Other.Count;
+      Hist.merge(Other.Hist);
+    }
+  };
+  struct Window {
+    int64_t Index = 0;
+    std::vector<Slot> Slots; ///< By column; may be shorter than columns().
+  };
+  /// Called with the first timed update a parked node receives.
+  using ArmFn = std::function<void(int Node, int64_t AtNs)>;
+
+  LiveWindows(int Nodes, int64_t WindowNs, ArmFn OnArm);
+  LiveWindows(const LiveWindows &) = delete;
+  LiveWindows &operator=(const LiveWindows &) = delete;
+
+  /// The slot a timed update of \p I on \p Node at sim-time \p AtNs
+  /// lands in, arming the node if it was parked; null for nodes outside
+  /// [0, Nodes), whose samples are dropped.
+  Slot *slot(const Instrument &I, int Node, int64_t AtNs);
+
+  /// Instrument name per column.
+  const std::vector<std::string> &columns() const { return Names; }
+
+  /// Removes and returns \p Node's windows with index below \p FirstOpen,
+  /// in index order.  A node left with nothing pending parks: its next
+  /// timed update calls OnArm again.
+  std::vector<Window> takeClosed(int Node, int64_t FirstOpen);
+  bool armed(int Node) const { return Nodes[size_t(Node)].Armed; }
+
+private:
+  struct NodeWindows {
+    std::vector<Window> Pending; ///< Ascending window index.
+    bool Armed = false;
+  };
+
+  int64_t WindowNs;
+  ArmFn OnArm;
+  std::vector<NodeWindows> Nodes;
+  std::vector<int> ColumnOf; ///< Instrument id -> column (-1: none yet).
+  std::vector<std::string> Names;
+};
+
+/// Updates a handle; reports list it from now on.
+inline void add(Counter &C, uint64_t N) {
+  C.add(N);
+  C.Listed = true;
+}
+inline void record(Histogram &H, int64_t Value) {
+  H.record(Value);
+  H.Listed = true;
+}
+
+/// Timed updates of a registry handle: the same, plus the open window of
+/// \p Node at sim-time \p AtNs of the plane attached to the handle's
+/// registry, if any.
+inline void add(Counter &C, uint64_t N, int Node, int64_t AtNs) {
+  add(C, N);
+  if (LiveWindows *Live = C.Owner->attached())
+    if (LiveWindows::Slot *S = Live->slot(C, Node, AtNs))
+      S->Count += N;
+}
+inline void record(Histogram &H, int64_t Value, int Node, int64_t AtNs) {
+  record(H, Value);
+  if (LiveWindows *Live = H.Owner->attached())
+    if (LiveWindows::Slot *S = Live->slot(H, Node, AtNs))
+      S->Hist.record(Value);
+}
 
 } // namespace parcs::metrics
 

@@ -7,6 +7,7 @@
 #include "support/Trace.h"
 
 #include "support/EnvSpec.h"
+#include "support/Json.h"
 
 #include <cassert>
 #include <cstdio>
@@ -124,16 +125,6 @@ private:
 // Chrome trace-event JSON export
 //===----------------------------------------------------------------------===//
 
-void appendJsonString(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += '"';
-}
-
 /// Sim-time ns -> trace-format microseconds with ns precision.
 void appendTs(std::string &Out, int64_t Ns) {
   char Buf[48];
@@ -177,7 +168,7 @@ void appendEvent(std::string &Out, int Pid, const Event &E, bool Truncated,
   Out += First ? "\n  " : ",\n  ";
   First = false;
   Out += "{\"name\": ";
-  appendJsonString(Out, E.Name);
+  json::appendString(Out, E.Name);
   char Buf[96];
   switch (E.Kind) {
   case EventKind::Complete:
@@ -239,7 +230,7 @@ void appendMetadata(std::string &Out, const char *What, int Pid, int Tid,
                   "\"pid\": %d, \"tid\": %d, \"args\": {\"name\": ",
                   What, Pid, Tid);
   Out += Buf;
-  appendJsonString(Out, Name);
+  json::appendString(Out, Name);
   Out += "}}";
 }
 
@@ -423,16 +414,7 @@ std::string exportFlightJson() {
 }
 
 bool writeJson(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Body = exportJson();
-  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-  if (Written != Body.size()) {
-    std::fclose(F);
-    return false;
-  }
-  return std::fclose(F) == 0;
+  return json::writeFile(Path, exportJson());
 }
 
 void reset() {

@@ -6,6 +6,7 @@
 
 #include "telemetry/FlightRecorder.h"
 
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/PostMortem.h"
 #include "support/Trace.h"
@@ -55,14 +56,7 @@ std::string FlightRecorder::dumpJson(const char *Reason, int Node,
 
 void FlightRecorder::writeDump(const char *Reason, int Node, int64_t AtNs) {
   ++Dumps;
-  std::string Body = dumpJson(Reason, Node, AtNs);
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "[parcs:flight] cannot write %s\n", Path.c_str());
-    return;
-  }
-  size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-  if (std::fclose(F) != 0 || Written != Body.size())
+  if (!json::writeFile(Path, dumpJson(Reason, Node, AtNs)))
     std::fprintf(stderr, "[parcs:flight] cannot write %s\n", Path.c_str());
 }
 

@@ -8,6 +8,7 @@
 
 #include "serial/Archive.h"
 #include "support/EnvSpec.h"
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 
 namespace parcs::telemetry {
 
@@ -40,10 +42,6 @@ bool parseTelemetrySpec(std::string_view SpecText, TelemetrySpec &Out,
     if (O.Key == "window") {
       if (!envspec::parseDurationNs(O.Value, Spec.WindowNs) ||
           Spec.WindowNs <= 0)
-        return Fail(O.Token);
-    } else if (O.Key == "flush") {
-      if (!envspec::parseDurationNs(O.Value, Spec.FlushNs) ||
-          Spec.FlushNs <= 0)
         return Fail(O.Token);
     } else if (O.Key == "collector") {
       if (!envspec::parseUint(O.Value, N))
@@ -83,49 +81,19 @@ bool envTelemetrySpec(TelemetrySpec &Out) {
   return false;
 }
 
-namespace {
-
-//===----------------------------------------------------------------------===//
-// JSON helpers (same conventions as the metrics report: %.6g doubles)
-//===----------------------------------------------------------------------===//
-
-void appendEscaped(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += '"';
-}
-
-void appendDouble(std::string &Out, double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Out += Buf;
-}
-
-void appendInt(std::string &Out, long long V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%lld", V);
-  Out += Buf;
-}
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Plane lifecycle
 //===----------------------------------------------------------------------===//
 
 Plane::Plane(net::Network &Net, TelemetrySpec S)
-    : Spec(std::move(S)), Net(Net) {
+    : Spec(std::move(S)), Net(Net),
+      Live(Net.nodeCount(), Spec.WindowNs,
+           [this](int Node, int64_t AtNs) { arm(Node, AtNs); }) {
   assert(Spec.WindowNs > 0 && "telemetry window must be positive");
-  if (Spec.FlushNs <= 0)
-    Spec.FlushNs = Spec.WindowNs;
   int Nodes = Net.nodeCount();
   assert(Spec.CollectorNode >= 0 && Spec.CollectorNode < Nodes &&
          "collector node out of range");
-  Agents.resize(size_t(Nodes));
+  NextSeq.assign(size_t(Nodes), 1);
   LastHeartbeatNs.assign(size_t(Nodes), -1);
   Slos.reserve(Spec.Slos.size());
   for (const SloSpec &S : Spec.Slos) {
@@ -137,85 +105,65 @@ Plane::Plane(net::Network &Net, TelemetrySpec S)
   }
   sim::Channel<net::Message> &Chan = Net.bind(Spec.CollectorNode, Spec.Port);
   Net.sim().spawn(collectorLoop(Chan));
-  PrevSink = setSink(this);
+  PrevLive = metrics::Registry::global().attach(&Live);
 }
 
 Plane::~Plane() {
-  setSink(PrevSink);
+  metrics::Registry::global().attach(PrevLive);
   finish();
 }
 
 //===----------------------------------------------------------------------===//
-// Agent side (per-node state)
+// Agent side (per-node heartbeats)
 //===----------------------------------------------------------------------===//
 
-Plane::SeriesDelta &Plane::deltaFor(int Node, const char *Series,
-                                    int64_t AtNs) {
-  Agent &A = Agents[size_t(Node)];
-  int64_t Window = std::max<int64_t>(0, AtNs) / Spec.WindowNs;
-  return A.Pending[Window][Series];
-}
-
-void Plane::count(int Node, const char *Series, int64_t AtNs, uint64_t N) {
-  if (Node < 0 || Node >= int(Agents.size()))
-    return;
-  deltaFor(Node, Series, AtNs).Count += N;
-  arm(Node, AtNs);
-}
-
-void Plane::record(int Node, const char *Series, int64_t AtNs,
-                   int64_t Value) {
-  if (Node < 0 || Node >= int(Agents.size()))
-    return;
-  deltaFor(Node, Series, AtNs).Hist.record(Value);
-  arm(Node, AtNs);
-}
-
 void Plane::arm(int Node, int64_t AtNs) {
-  Agent &A = Agents[size_t(Node)];
-  if (A.Armed)
-    return;
-  A.Armed = true;
-  // Heartbeats stay on the FlushNs grid, so two runs that record at the
+  // Heartbeats stay on the window grid, so two runs that record at the
   // same sim-times flush at the same sim-times whatever the interleaving.
-  int64_t T = (std::max<int64_t>(0, AtNs) / Spec.FlushNs + 1) * Spec.FlushNs;
+  int64_t T = (std::max<int64_t>(0, AtNs) / Spec.WindowNs + 1) * Spec.WindowNs;
   Net.sim().scheduleAt(sim::SimTime::nanoseconds(T),
                        [this, Node, T] { heartbeat(Node, T); });
 }
 
 void Plane::heartbeat(int Node, int64_t NowNs) {
-  Agent &A = Agents[size_t(Node)];
   // Windows whose end lies at or before NowNs are complete: nothing on
   // this node can record into them anymore (sample times never exceed the
-  // node's own now).
-  int64_t FirstOpen = NowNs / Spec.WindowNs;
-  std::vector<std::pair<int64_t, WindowDeltas>> Closed;
-  for (auto It = A.Pending.begin();
-       It != A.Pending.end() && It->first < FirstOpen;) {
-    Closed.emplace_back(It->first, std::move(It->second));
-    It = A.Pending.erase(It);
-  }
-  // Park when nothing is brewing; the next record() re-arms.  A partial
-  // window keeps the agent armed so its data ships next flush and run()
-  // still terminates (bounded flushes after the last record).
-  A.Armed = !A.Pending.empty();
-  if (A.Armed) {
-    int64_t T = NowNs + Spec.FlushNs;
+  // node's own now).  Nothing left brewing parks the agent until its next
+  // timed update; a partial window keeps it armed so its data ships next
+  // flush and run() still terminates (bounded flushes after the last
+  // record).
+  std::vector<metrics::LiveWindows::Window> Closed =
+      Live.takeClosed(Node, NowNs / Spec.WindowNs);
+  bool Armed = Live.armed(Node);
+  if (Armed) {
+    int64_t T = NowNs + Spec.WindowNs;
     Net.sim().scheduleAt(sim::SimTime::nanoseconds(T),
                          [this, Node, T] { heartbeat(Node, T); });
   }
 
   serial::OutputArchive Ar;
   Ar.write(int32_t(Node));
-  Ar.write(uint64_t(A.NextSeq++));
+  Ar.write(uint64_t(NextSeq[size_t(Node)]++));
   Ar.write(int64_t(NowNs));
-  Ar.write(uint8_t(A.Armed ? 0 : 1)); // Parked after this heartbeat.
+  Ar.write(uint8_t(Armed ? 0 : 1)); // Parked after this heartbeat.
   Ar.write(uint32_t(Closed.size()));
-  for (const auto &[Window, Deltas] : Closed) {
-    Ar.write(int64_t(Window));
-    Ar.write(uint32_t(Deltas.size()));
-    for (const auto &[Name, D] : Deltas) {
-      Ar.write(Name);
+  // Series ship in name order.
+  const std::vector<std::string> &Names = Live.columns();
+  std::vector<size_t> ByName(Names.size());
+  std::iota(ByName.begin(), ByName.end(), size_t(0));
+  std::sort(ByName.begin(), ByName.end(),
+            [&](size_t A, size_t B) { return Names[A] < Names[B]; });
+  for (const metrics::LiveWindows::Window &W : Closed) {
+    Ar.write(int64_t(W.Index));
+    auto Touched = [&](size_t Col) {
+      return Col < W.Slots.size() && W.Slots[Col].Touched;
+    };
+    Ar.write(uint32_t(std::count_if(ByName.begin(), ByName.end(), Touched)));
+    for (size_t Col : ByName) {
+      if (!Touched(Col))
+        continue;
+      const metrics::LiveWindows::Slot &D = W.Slots[Col];
+      Ar.write(Names[Col]);
       Ar.write(uint64_t(D.Count));
       Ar.write(uint8_t(D.Hist.count() != 0));
       if (D.Hist.count() != 0) {
@@ -263,7 +211,7 @@ void Plane::onSnapshot(const net::Message &Msg) {
   Ar.read(NowNs);
   Ar.read(ParkedFlag);
   Ar.read(NumWindows);
-  bool Ok = Ar.ok() && Node >= 0 && Node < int(Agents.size()) &&
+  bool Ok = Ar.ok() && Node >= 0 && Node < int(NextSeq.size()) &&
             NowNs >= 0 && NowNs <= Net.sim().now().nanosecondsCount();
   int64_t SentWindow = NowNs / Spec.WindowNs;
   struct Entry {
@@ -403,19 +351,20 @@ void Plane::finish() {
   // Whatever the agents still hold never made it onto the wire (the run
   // ended first).  Fold it serially in node order -- commutative merges,
   // so this is byte-identical to having shipped it.
-  for (Agent &A : Agents) {
-    for (auto &[Window, Deltas] : A.Pending) {
-      for (auto &[Name, D] : Deltas) {
-        if (Window < FirstOpenWindow) {
+  for (int Node = 0; Node < int(NextSeq.size()); ++Node) {
+    for (const metrics::LiveWindows::Window &W :
+         Live.takeClosed(Node, std::numeric_limits<int64_t>::max())) {
+      for (size_t Col = 0; Col < W.Slots.size(); ++Col) {
+        const metrics::LiveWindows::Slot &S = W.Slots[Col];
+        if (!S.Touched)
+          continue;
+        if (W.Index < FirstOpenWindow) {
           ++LateWindows;
           continue;
         }
-        auto It = Merged[Name].try_emplace(Window);
-        It.first->second.merge(D);
+        Merged[Live.columns()[Col]][W.Index].merge(S);
       }
     }
-    A.Pending.clear();
-    A.Armed = false;
   }
 
   int64_t MaxOpen = FirstOpenWindow;
@@ -438,14 +387,7 @@ void Plane::finish() {
   }
 
   auto WriteFile = [](const std::string &Path, const std::string &Body) {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "[parcs:telemetry] cannot write %s\n",
-                   Path.c_str());
-      return;
-    }
-    size_t Written = std::fwrite(Body.data(), 1, Body.size(), F);
-    if (std::fclose(F) != 0 || Written != Body.size())
+    if (!json::writeFile(Path, Body))
       std::fprintf(stderr, "[parcs:telemetry] cannot write %s\n",
                    Path.c_str());
   };
@@ -458,22 +400,22 @@ void Plane::finish() {
 std::string Plane::exportJson() {
   finish();
   std::string Out = "{\n  \"window_ns\": ";
-  appendInt(Out, Spec.WindowNs);
+  Out += std::to_string(Spec.WindowNs);
   Out += ",\n  \"nodes\": ";
-  appendInt(Out, int64_t(Agents.size()));
+  Out += std::to_string(int64_t(NextSeq.size()));
   Out += ",\n  \"snapshots\": ";
-  appendInt(Out, int64_t(SnapshotsReceived));
+  Out += std::to_string(int64_t(SnapshotsReceived));
   Out += ",\n  \"late_windows\": ";
-  appendInt(Out, int64_t(LateWindows));
+  Out += std::to_string(int64_t(LateWindows));
   Out += ",\n  \"corrupt_snapshots\": ";
-  appendInt(Out, int64_t(CorruptSnapshots));
+  Out += std::to_string(int64_t(CorruptSnapshots));
 
   Out += ",\n  \"series\": {";
   bool FirstSeries = true;
   for (const auto &[Name, Windows] : Merged) {
     Out += FirstSeries ? "\n    " : ",\n    ";
     FirstSeries = false;
-    appendEscaped(Out, Name);
+    json::appendString(Out, Name);
     bool IsHist = false;
     for (const auto &[W, D] : Windows)
       if (D.Hist.count() != 0)
@@ -485,29 +427,29 @@ std::string Plane::exportJson() {
       Out += FirstWin ? "\n      " : ",\n      ";
       FirstWin = false;
       Out += "{\"w\": ";
-      appendInt(Out, W);
+      Out += std::to_string(W);
       Out += ", \"start_ns\": ";
-      appendInt(Out, W * Spec.WindowNs);
+      Out += std::to_string(W * Spec.WindowNs);
       if (IsHist) {
         Out += ", \"n\": ";
-        appendInt(Out, int64_t(D.Hist.count()));
+        Out += std::to_string(int64_t(D.Hist.count()));
         Out += ", \"mean\": ";
-        appendDouble(Out, D.Hist.mean());
+        json::appendNumber(Out, D.Hist.mean());
         Out += ", \"min\": ";
-        appendInt(Out, D.Hist.min());
+        Out += std::to_string(D.Hist.min());
         Out += ", \"max\": ";
-        appendInt(Out, D.Hist.max());
+        Out += std::to_string(D.Hist.max());
         Out += ", \"p50\": ";
-        appendDouble(Out, D.Hist.percentile(50));
+        json::appendNumber(Out, D.Hist.percentile(50));
         Out += ", \"p90\": ";
-        appendDouble(Out, D.Hist.percentile(90));
+        json::appendNumber(Out, D.Hist.percentile(90));
         Out += ", \"p99\": ";
-        appendDouble(Out, D.Hist.percentile(99));
+        json::appendNumber(Out, D.Hist.percentile(99));
         Out += ", \"p999\": ";
-        appendDouble(Out, D.Hist.percentile(99.9));
+        json::appendNumber(Out, D.Hist.percentile(99.9));
       } else {
         Out += ", \"n\": ";
-        appendInt(Out, int64_t(D.Count));
+        Out += std::to_string(int64_t(D.Count));
       }
       Out += '}';
     }
@@ -521,28 +463,28 @@ std::string Plane::exportJson() {
     Out += FirstSlo ? "\n    " : ",\n    ";
     FirstSlo = false;
     Out += "{\"spec\": ";
-    appendEscaped(Out, S.Spec.Text);
+    json::appendString(Out, S.Spec.Text);
     Out += ", \"series\": ";
-    appendEscaped(Out, S.Spec.Series);
+    json::appendString(Out, S.Spec.Series);
     Out += ", \"percentile\": ";
-    appendDouble(Out, S.Spec.Percentile);
+    json::appendNumber(Out, S.Spec.Percentile);
     Out += ", \"threshold_ns\": ";
-    appendInt(Out, S.Spec.ThresholdNs);
+    Out += std::to_string(S.Spec.ThresholdNs);
     Out += ", \"window_ns\": ";
-    appendInt(Out, S.SpanWindows * Spec.WindowNs);
+    Out += std::to_string(S.SpanWindows * Spec.WindowNs);
     Out += ", \"fast_burn_windows\": ";
-    appendInt(Out, int64_t(S.FastBurnWindows));
+    Out += std::to_string(int64_t(S.FastBurnWindows));
     Out += ", \"slow_burn_windows\": ";
-    appendInt(Out, int64_t(S.SlowBurnWindows));
+    Out += std::to_string(int64_t(S.SlowBurnWindows));
     Out += ", \"events\": [";
     bool FirstEdge = true;
     for (const SloState::Edge &E : S.Edges) {
       Out += FirstEdge ? "" : ", ";
       FirstEdge = false;
       Out += "{\"window\": ";
-      appendInt(Out, E.Window);
+      Out += std::to_string(E.Window);
       Out += ", \"at_ns\": ";
-      appendInt(Out, E.AtNs);
+      Out += std::to_string(E.AtNs);
       Out += E.Breach ? ", \"kind\": \"breach\"}" : ", \"kind\": \"recover\"}";
     }
     Out += "]}";
@@ -565,7 +507,7 @@ std::string Plane::modelPointsJson() {
   std::string Out = "{\n  \"parcs_sweep\": 1,\n  \"bench\": "
                     "\"telemetry\",\n  \"machine\": \"\",\n  \"points\": [\n"
                     "    {\"params\": {\"nodes\": ";
-  appendInt(Out, int64_t(Agents.size()));
+  Out += std::to_string(int64_t(NextSeq.size()));
   Out += "}, \"metrics\": {";
   bool First = true;
   for (const auto &[Name, Windows] : Merged) {
@@ -583,9 +525,9 @@ std::string Plane::modelPointsJson() {
     auto Metric = [&](const std::string &Suffix, double V) {
       Out += First ? "\n      " : ",\n      ";
       First = false;
-      appendEscaped(Out, Name + Suffix);
+      json::appendString(Out, Name + Suffix);
       Out += ": ";
-      appendDouble(Out, V);
+      json::appendNumber(Out, V);
     };
     Metric(".n", double(N));
     if (SpanS > 0)

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The live half of the observability subsystem: cluster-wide windowed
-/// time-series built *in-band*, out of the object model itself.  Each vm
-/// node runs a telemetry agent that accumulates per-window deltas for the
-/// series the instrumented layers feed through telemetry::count/record
-/// (support/TelemetrySink.h); a periodic heartbeat on the node's own
+/// time-series built *in-band*, out of the object model itself.  While a
+/// plane is attached to the metrics registry, every timed instrument
+/// update (metrics::add/record with a node and a sim-time, see
+/// support/Metrics.h) also lands in that node's open window, keyed by
+/// instrument; a periodic heartbeat on the node's own
 /// simulator closes fully-elapsed windows and ships them as ordinary
 /// framed messages over the fabric -- paying real wire time, competing
 /// with real traffic -- to a collector object on one node, which merges
@@ -28,7 +29,7 @@
 ///    only complete windows, in a deterministic order.
 ///
 /// Agents *park* when a flush finds nothing pending (the heartbeat does
-/// not reschedule), and the first record() afterwards re-arms them, so an
+/// not reschedule), and the first timed update afterwards re-arms them, so an
 /// idle cluster generates no telemetry events and run() terminates.
 /// Snapshots that arrive for already-final windows (a parked agent waking
 /// late, or heartbeats lost to an in-band fault plan) are counted and
@@ -37,7 +38,7 @@
 ///
 /// Enable with
 ///
-///   PARCS_TELEMETRY=<file>[,window=<dur>][,flush=<dur>][,collector=<node>]
+///   PARCS_TELEMETRY=<file>[,window=<dur>][,collector=<node>]
 ///                        [,port=<port>][,model=<file>]
 ///                        [,slo=slo(<series>, p<P> < <dur>, window=<dur>)]...
 ///
@@ -56,7 +57,6 @@
 
 #include "net/Network.h"
 #include "support/Metrics.h"
-#include "support/TelemetrySink.h"
 #include "telemetry/Slo.h"
 
 #include <cstdint>
@@ -71,15 +71,14 @@ namespace parcs::telemetry {
 /// How the plane should run (parsed from PARCS_TELEMETRY).
 struct TelemetrySpec {
   std::string Path;                ///< Export file ("" = keep in memory).
-  int64_t WindowNs = 1'000'000;    ///< Series bucket width (1ms).
-  int64_t FlushNs = 0;             ///< Heartbeat period (0 = WindowNs).
+  int64_t WindowNs = 1'000'000;    ///< Series bucket and flush period (1ms).
   int CollectorNode = 0;           ///< Node hosting the collector object.
   int Port = 9700;                 ///< Fabric port the collector binds.
   std::string ModelPath;           ///< Sweep-point file ("" = none).
   std::vector<SloSpec> Slos;
 };
 
-/// Parses "<path>[,window=dur][,flush=dur][,collector=N][,port=N]
+/// Parses "<path>[,window=dur][,collector=N][,port=N]
 /// [,slo=...]...".  Durations use the fault-plan grammar ("2ms", "50us",
 /// bare ns).  Returns false leaving \p Out untouched on malformation;
 /// \p BadToken (when non-null) receives the offending token.
@@ -94,20 +93,15 @@ bool envTelemetrySpec(TelemetrySpec &Out);
 /// The telemetry plane: per-node agents + in-band collector + SLO engine.
 /// Construct after the fabric and before the workload runs; destroy (or
 /// finish()) after run() to fold straggler windows and write the export.
-/// Installs itself as the process-wide telemetry::Sink for its lifetime.
-class Plane : public Sink {
+/// Attaches its open windows to the global metrics registry for its
+/// lifetime.
+class Plane {
 public:
   Plane(net::Network &Net, TelemetrySpec Spec);
-  ~Plane() override;
+  ~Plane();
 
   Plane(const Plane &) = delete;
   Plane &operator=(const Plane &) = delete;
-
-  // Sink: called by instrumented layers for the recording node.
-  void count(int Node, const char *Series, int64_t AtNs,
-             uint64_t N) override;
-  void record(int Node, const char *Series, int64_t AtNs,
-              int64_t Value) override;
 
   /// Folds windows still pending in the agents (in node order) and
   /// finalizes every remaining window -- evaluating SLOs for each --
@@ -144,26 +138,8 @@ public:
   const TelemetrySpec &spec() const { return Spec; }
 
 private:
-  /// One series' contribution to one window: counter increments and/or
-  /// histogram samples (a series is one or the other; kind mismatches
-  /// merge harmlessly because the unused half stays empty).
-  struct SeriesDelta {
-    uint64_t Count = 0;
-    metrics::Histogram Hist;
-
-    void merge(const SeriesDelta &Other) {
-      Count += Other.Count;
-      Hist.merge(Other.Hist);
-    }
-  };
-  using WindowDeltas = std::map<std::string, SeriesDelta, std::less<>>;
-
-  /// Per-node accumulation.
-  struct Agent {
-    std::map<int64_t, WindowDeltas> Pending; ///< window index -> deltas.
-    uint64_t NextSeq = 1;
-    bool Armed = false;
-  };
+  /// One series' contribution to one window, as the agents collect it.
+  using SeriesDelta = metrics::LiveWindows::Slot;
 
   struct SloState {
     SloSpec Spec;
@@ -180,7 +156,6 @@ private:
   };
 
   sim::Task<void> collectorLoop(sim::Channel<net::Message> &Chan);
-  SeriesDelta &deltaFor(int Node, const char *Series, int64_t AtNs);
   void arm(int Node, int64_t AtNs);
   void heartbeat(int Node, int64_t NowNs);
   void onSnapshot(const net::Message &Msg);
@@ -190,8 +165,9 @@ private:
 
   TelemetrySpec Spec;
   net::Network &Net;
-  std::vector<Agent> Agents;
-  Sink *PrevSink = nullptr;
+  metrics::LiveWindows Live;             ///< The agents' open windows.
+  std::vector<uint64_t> NextSeq;         ///< Per node snapshot sequence.
+  metrics::LiveWindows *PrevLive = nullptr;
 
   // Collector state (fed by snapshots during the run, then by
   // finish()).

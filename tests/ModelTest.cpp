@@ -237,17 +237,21 @@ TEST(IngestTest, TelemetryExportBecomesOneDataPoint) {
   Spec.WindowNs = 4000;
   telemetry::Plane Plane(Net, Spec);
   struct Driver {
-    static sim::Task<void> ticks(net::Network &Net, int Node) {
+    static sim::Task<void> ticks(net::Network &Net, int Node,
+                                 metrics::Counter &Count,
+                                 metrics::Histogram &Latency) {
       for (int T = 0; T < 8; ++T) {
         co_await Net.sim().delay(sim::SimTime::microseconds(1));
         int64_t Now = Net.sim().now().nanosecondsCount();
-        telemetry::count(Node, "tick.count", Now);
-        telemetry::record(Node, "tick.latency", Now, 1000 + T * 10);
+        metrics::add(Count, 1, Node, Now);
+        metrics::record(Latency, 1000 + T * 10, Node, Now);
       }
     }
   };
+  metrics::Registry &Reg = metrics::Registry::global();
   for (int N = 0; N < 4; ++N)
-    Net.sim().spawn(Driver::ticks(Net, N));
+    Net.sim().spawn(Driver::ticks(Net, N, Reg.counterHandle("tick.count"),
+                                  Reg.histogramHandle("tick.latency")));
   Net.sim().run();
 
   auto Data = pointsFromTelemetryExport(Plane.exportJson());
@@ -283,16 +287,18 @@ TEST(TelemetryModelHookTest, ModelPointsAreExactAndByteStable) {
     Spec.WindowNs = 2000;
     telemetry::Plane Plane(Net, Spec);
     struct Driver {
-      static sim::Task<void> ticks(net::Network &Net, int Node) {
+      static sim::Task<void> ticks(net::Network &Net, int Node,
+                                   metrics::Histogram &Lat) {
         for (int T = 0; T < 10; ++T) {
           co_await Net.sim().delay(sim::SimTime::microseconds(1));
-          telemetry::record(Node, "lat", Net.sim().now().nanosecondsCount(),
-                            100 * (T + 1));
+          metrics::record(Lat, 100 * (T + 1), Node,
+                          Net.sim().now().nanosecondsCount());
         }
       }
     };
     for (int N = 0; N < 2; ++N)
-      Net.sim().spawn(Driver::ticks(Net, N));
+      Net.sim().spawn(Driver::ticks(
+          Net, N, metrics::Registry::global().histogramHandle("lat")));
     Net.sim().run();
     return Plane.modelPointsJson();
   };

@@ -436,6 +436,66 @@ TEST(MetricsRegistryTest, ReportBytesArePinned) {
             "e.small   n=3 mean=1.7 p50=2 p90=2 p99=2 max=2\n");
 }
 
+TEST(MetricsRegistryTest, HandlesJoinTheReportOnFirstUpdate) {
+  // Owners resolve handles for events that may never happen; only an
+  // update lists them.  By-name lookups list at once, as before.
+  metrics::Registry Reg;
+  metrics::Counter &Rare = Reg.counterHandle("a.rare");
+  metrics::Histogram &Lat = Reg.histogramHandle("a.lat");
+  Reg.histogram("b.empty");
+  EXPECT_EQ(Reg.textReport(), "b.empty  n=0 (no samples)\n");
+  metrics::add(Rare, 0);
+  metrics::record(Lat, 5);
+  EXPECT_EQ(Reg.textReport(), "a.lat    n=1 mean=5.0 p50=5 p90=5 p99=5 max=5\n"
+                              "a.rare   0\n"
+                              "b.empty  n=0 (no samples)\n");
+  EXPECT_EQ(&Reg.counter("a.rare"), &Rare) << "one instrument per name";
+}
+
+TEST(MetricsRegistryTest, TimedUpdateFeedsAnAttachedPlaneOnly) {
+  // One timed update moves the instrument; while live windows are
+  // attached it moves the node's open window by the same amount.
+  metrics::Registry Reg;
+  metrics::Histogram &Lat = Reg.histogramHandle("x.lat");
+  metrics::Counter &Calls = Reg.counterHandle("x.calls");
+  std::vector<std::pair<int, int64_t>> Armed;
+  metrics::LiveWindows Live(2, 1000, [&](int Node, int64_t AtNs) {
+    Armed.emplace_back(Node, AtNs);
+  });
+
+  metrics::record(Lat, 700, 1, 1500);
+  metrics::add(Calls, 3, 1, 1500);
+  EXPECT_EQ(Lat.count(), 1u);
+  EXPECT_EQ(Lat.sum(), 700u);
+  EXPECT_EQ(Calls.value(), 3u);
+  EXPECT_TRUE(Armed.empty());
+  EXPECT_TRUE(Live.takeClosed(1, 100).empty()) << "no plane attached";
+
+  EXPECT_EQ(Reg.attach(&Live), nullptr);
+  metrics::record(Lat, 900, 1, 2500);
+  metrics::add(Calls, 4, 1, 2600);
+  metrics::add(Calls, 1, 7, 2600); // No such node: registry only.
+  EXPECT_EQ(Reg.attach(nullptr), &Live);
+  EXPECT_EQ(Lat.count(), 2u);
+  EXPECT_EQ(Lat.sum(), 1600u);
+  EXPECT_EQ(Calls.value(), 8u);
+  ASSERT_EQ(Armed.size(), 1u) << "the first update arms the node once";
+  EXPECT_EQ(Armed[0], (std::pair<int, int64_t>(1, 2500)));
+
+  std::vector<metrics::LiveWindows::Window> Closed = Live.takeClosed(1, 100);
+  ASSERT_EQ(Closed.size(), 1u);
+  EXPECT_EQ(Closed[0].Index, 2);
+  EXPECT_FALSE(Live.armed(1)) << "nothing pending: the node parks";
+  EXPECT_EQ(Live.columns(), (std::vector<std::string>{"x.lat", "x.calls"}))
+      << "columns in order of first timed update";
+  const metrics::LiveWindows::Slot &LatSlot = Closed[0].Slots.at(0);
+  const metrics::LiveWindows::Slot &CallSlot = Closed[0].Slots.at(1);
+  EXPECT_EQ(LatSlot.Hist.count(), 1u);
+  EXPECT_EQ(LatSlot.Hist.sum(), 900u);
+  EXPECT_EQ(CallSlot.Count, 4u);
+  EXPECT_TRUE(Live.takeClosed(0, 100).empty());
+}
+
 //===----------------------------------------------------------------------===//
 // Env-knob spec parsing.
 //===----------------------------------------------------------------------===//

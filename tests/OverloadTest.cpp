@@ -579,7 +579,8 @@ TEST(RebalancerTest, SloBreachTriggersMigrationOffHottestNode) {
   struct Proc {
     // Pile three objects onto node 1 (LocalOnly placement pins them),
     // then breach the SLO and give the rebalancer room to act.
-    static Task<void> run(ScooppRuntime &Runtime, Simulator &Sim) {
+    static Task<void> run(ScooppRuntime &Runtime, Simulator &Sim,
+                          metrics::Histogram &OpLatency) {
       std::vector<std::unique_ptr<MigCounterProxy>> Keep;
       for (int I = 0; I < 3; ++I) {
         auto P = std::make_unique<MigCounterProxy>(Runtime, 1);
@@ -596,13 +597,15 @@ TEST(RebalancerTest, SloBreachTriggersMigrationOffHottestNode) {
         co_await Sim.delay(SimTime::microseconds(1));
         int64_t Now = Sim.now().nanosecondsCount();
         for (int N = 0; N < 4; ++N)
-          telemetry::record(N, "op.latency", Now, N == 1 ? 5000 : 100);
+          metrics::record(OpLatency, N == 1 ? 5000 : 100, N, Now);
       }
       // Idle long enough for the spawned migration to finish.
       co_await Sim.delay(SimTime::milliseconds(5));
     }
   };
-  Machines.sim().spawn(Proc::run(Runtime, Machines.sim()));
+  Machines.sim().spawn(
+      Proc::run(Runtime, Machines.sim(),
+                metrics::Registry::global().histogramHandle("op.latency")));
   Machines.sim().run();
 
   EXPECT_GE(Rebalancer.breaches(), 1u);

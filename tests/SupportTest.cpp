@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Error.h"
+#include "support/Json.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 
@@ -162,4 +163,46 @@ TEST(StringUtilsTest, FormatBytes) {
   EXPECT_EQ(formatBytes(512), "512 B");
   EXPECT_EQ(formatBytes(1536), "1.5 KB");
   EXPECT_EQ(formatBytes(3 * 1024 * 1024), "3.0 MB");
+}
+
+//===----------------------------------------------------------------------===//
+// JSON string/number writers
+//===----------------------------------------------------------------------===//
+
+TEST(JsonWriterTest, ControlBytesQuotesAndBackslashesRoundTrip) {
+  std::string Raw;
+  for (int C = 1; C < 0x20; ++C)
+    Raw += static_cast<char>(C);
+  Raw += "\"\\ plain";
+  std::string Doc;
+  json::appendString(Doc, Raw);
+  for (char C : Doc)
+    EXPECT_GE(static_cast<unsigned char>(C), 0x20u) << Doc;
+  EXPECT_NE(Doc.find("\\n"), std::string::npos);
+  EXPECT_NE(Doc.find("\\t"), std::string::npos);
+  EXPECT_NE(Doc.find("\\r"), std::string::npos);
+  EXPECT_NE(Doc.find("\\u001f"), std::string::npos);
+  json::Value V;
+  ASSERT_TRUE(json::parse(Doc, V)) << Doc;
+  ASSERT_EQ(V.K, json::Value::Kind::String);
+  EXPECT_EQ(V.Str, Raw);
+}
+
+TEST(JsonWriterTest, PlainStringsAndNumbersKeepTheirBytes) {
+  std::string Doc;
+  json::appendString(Doc, "rpc.call.latency");
+  Doc += ' ';
+  json::appendNumber(Doc, 4.39805e11);
+  Doc += ' ';
+  json::appendNumber(Doc, 1.0 / 3.0);
+  EXPECT_EQ(Doc, "\"rpc.call.latency\" 4.39805e+11 0.333333");
+}
+
+TEST(JsonWriterTest, ReaderRejectsUnicodeEscapesItNeverWrites) {
+  json::Value V;
+  EXPECT_TRUE(json::parse("\"\\u007f\"", V));
+  EXPECT_EQ(V.Str, "\x7f");
+  EXPECT_FALSE(json::parse("\"\\u0080\"", V));
+  EXPECT_FALSE(json::parse("\"\\u12\"", V));
+  EXPECT_FALSE(json::parse("\"\\u00zz\"", V));
 }

@@ -15,10 +15,12 @@
 #include "fault/FaultPlan.h"
 #include "fault/Injector.h"
 #include "net/Network.h"
+#include "remoting/Engine.h"
+#include "serial/Crc32.h"
 #include "serial/Archive.h"
 #include "support/Metrics.h"
+#include "support/Json.h"
 #include "support/PostMortem.h"
-#include "support/TelemetrySink.h"
 #include "support/Trace.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Slo.h"
@@ -89,15 +91,19 @@ TEST(TelemetrySpecTest, ParsesPathAndOptions) {
   ASSERT_TRUE(telemetry::parseTelemetrySpec("tele.json", S));
   EXPECT_EQ(S.Path, "tele.json");
   EXPECT_EQ(S.WindowNs, 1'000'000);
-  EXPECT_EQ(S.FlushNs, 0);
   EXPECT_EQ(S.CollectorNode, 0);
 
   ASSERT_TRUE(telemetry::parseTelemetrySpec(
-      "t.json,window=2ms,flush=4ms,collector=1,port=800", S));
+      "t.json,window=2ms,collector=1,port=800", S));
   EXPECT_EQ(S.WindowNs, 2'000'000);
-  EXPECT_EQ(S.FlushNs, 4'000'000);
   EXPECT_EQ(S.CollectorNode, 1);
   EXPECT_EQ(S.Port, 800);
+
+  // Heartbeats run on the window grid; there is no separate flush period.
+  std::string Bad;
+  EXPECT_FALSE(telemetry::parseTelemetrySpec(
+      "t.json,window=2ms,flush=4ms,collector=1,port=800", S, &Bad));
+  EXPECT_EQ(Bad, "flush=4ms");
 
   // The slo() value contains commas; the paren-aware splitter must keep
   // them inside the option instead of splitting the spec apart.
@@ -134,18 +140,21 @@ TEST(TelemetrySpecTest, NamesTheBadToken) {
 /// function of (node, tick) so totals are predictable.
 void runTickWorkload(net::Network &Net) {
   struct Driver {
-    static sim::Task<void> ticks(net::Network &Net, int Node) {
+    static sim::Task<void> ticks(net::Network &Net, int Node,
+                                 metrics::Counter &Count,
+                                 metrics::Histogram &Latency) {
       for (int T = 0; T < 12; ++T) {
         co_await Net.sim().delay(sim::SimTime::microseconds(1));
         int64_t Now = Net.sim().now().nanosecondsCount();
-        telemetry::count(Node, "tick.count", Now);
-        telemetry::record(Node, "tick.latency", Now,
-                          1000 + Node * 100 + T * 10);
+        metrics::add(Count, 1, Node, Now);
+        metrics::record(Latency, 1000 + Node * 100 + T * 10, Node, Now);
       }
     }
   };
+  metrics::Registry &Reg = metrics::Registry::global();
   for (int N = 0; N < Net.nodeCount(); ++N)
-    Net.sim().spawn(Driver::ticks(Net, N));
+    Net.sim().spawn(Driver::ticks(Net, N, Reg.counterHandle("tick.count"),
+                                  Reg.histogramHandle("tick.latency")));
   Net.sim().run();
 }
 
@@ -259,6 +268,119 @@ TEST(TelemetryPlaneTest, DropsSnapshotsWithImpossibleFields) {
   EXPECT_EQ(Json.find("forged.latency"), std::string::npos) << Json;
 }
 
+/// Echo service for the pinned two-node export below.
+class EchoServer : public remoting::CallHandler {
+public:
+  sim::Task<ErrorOr<remoting::Bytes>>
+  handleCall(std::string_view, const remoting::Bytes &Args) override {
+    co_return Args;
+  }
+};
+
+uint32_t crcOf(const std::string &S) {
+  return serial::crc32(reinterpret_cast<const uint8_t *>(S.data()), S.size());
+}
+
+TEST(TelemetryPlaneTest, ExportBytesArePinned) {
+  // Plane-on exports for two fixed runs, pinned by CRC32: the tick
+  // workload with an SLO, and a two-node Mono Tcp echo whose rpc.* series
+  // come from the remoting engine.  Any change to what is recorded, how
+  // windows ship, or how the export is written moves these.
+  std::string Tick;
+  {
+    vm::Cluster Machines(8, vm::VmKind::MonoVm117);
+    net::Network Net(Machines.sim(), 8);
+    telemetry::TelemetrySpec Spec;
+    Spec.WindowNs = 4000;
+    telemetry::SloSpec Slo;
+    ASSERT_TRUE(telemetry::parseSloSpec(
+        "slo(tick.latency, p99 < 1200ns, window=8us)", Slo));
+    Spec.Slos.push_back(Slo);
+    telemetry::Plane Plane(Net, Spec);
+    runTickWorkload(Net);
+    Tick = Plane.exportJson();
+  }
+  std::string Echo;
+  {
+    vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+    net::Network Net(Machines.sim(), 2);
+    telemetry::Plane Plane(Net, telemetry::TelemetrySpec());
+    const remoting::StackProfile &Tcp =
+        remoting::stackProfile(remoting::StackKind::MonoRemotingTcp117);
+    remoting::RpcEndpoint Client(Machines.node(0), Net, Tcp, 1050);
+    remoting::RpcEndpoint Server(Machines.node(1), Net, Tcp, 1050);
+    Server.publish("echo", std::make_shared<EchoServer>());
+    struct Driver {
+      static sim::Task<void> run(remoting::RpcEndpoint &Ep) {
+        remoting::Bytes Args = serial::encodeValues(std::string(64, 'x'));
+        for (int I = 0; I < 50; ++I)
+          EXPECT_TRUE(co_await Ep.call(1, 1050, "echo", "ping", Args));
+      }
+    };
+    Machines.sim().spawn(Driver::run(Client));
+    Machines.sim().run();
+    Echo = Plane.exportJson();
+  }
+  EXPECT_NE(Echo.find("\"rpc.call.latency\""), std::string::npos) << Echo;
+  EXPECT_NE(Echo.find("\"rpc.calls\""), std::string::npos) << Echo;
+  EXPECT_EQ(crcOf(Tick), 0x7d141cc2u) << Tick;
+  EXPECT_EQ(crcOf(Echo), 0xd29723fbu) << Echo;
+}
+
+TEST(TelemetryPlaneTest, TimedRecordMovesRegistryAndWindowAlike) {
+  // The one record path: with a plane attached, a timed update moves the
+  // end-of-run instrument and the live series by the same amount.
+  metrics::Histogram &Lat =
+      metrics::Registry::global().histogramHandle("test.one_record");
+  uint64_t CountBefore = Lat.count(), SumBefore = Lat.sum();
+  std::string Json;
+  {
+    vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+    net::Network Net(Machines.sim(), 2);
+    telemetry::Plane Plane(Net, telemetry::TelemetrySpec());
+    metrics::record(Lat, 4321, 1, 0);
+    Machines.sim().run();
+    Json = Plane.exportJson();
+  }
+  metrics::record(Lat, 99, 1, 0); // Detached again: registry only.
+  EXPECT_EQ(Lat.count() - CountBefore, 2u);
+  EXPECT_EQ(Lat.sum() - SumBefore, 4321u + 99u);
+  json::Value Doc;
+  ASSERT_TRUE(json::parse(Json, Doc)) << Json;
+  const json::Value *Series = Doc.field("series");
+  ASSERT_NE(Series, nullptr);
+  const json::Value *One = Series->field("test.one_record");
+  ASSERT_NE(One, nullptr) << Json;
+  const json::Value *Windows = One->field("windows");
+  ASSERT_NE(Windows, nullptr);
+  ASSERT_EQ(Windows->Arr.size(), 1u);
+  EXPECT_EQ(Windows->Arr[0].num("n"), 1);
+  EXPECT_EQ(Windows->Arr[0].num("max"), 4321);
+}
+
+TEST(TelemetryPlaneTest, ExportEscapesControlCharactersInNames) {
+  // parseSloSpec keeps a tab inside the series name; the export must
+  // still be valid JSON and give the name back unchanged.
+  telemetry::SloSpec Slo;
+  ASSERT_TRUE(
+      telemetry::parseSloSpec("slo(odd\tname, p99 < 2ms, window=1ms)", Slo));
+  ASSERT_EQ(Slo.Series, "odd\tname");
+  vm::Cluster Machines(2, vm::VmKind::MonoVm117);
+  net::Network Net(Machines.sim(), 2);
+  telemetry::TelemetrySpec Spec;
+  Spec.Slos.push_back(Slo);
+  telemetry::Plane Plane(Net, Spec);
+  Machines.sim().run();
+  std::string Json = Plane.exportJson();
+  EXPECT_EQ(Json.find('\t'), std::string::npos) << Json;
+  json::Value Doc;
+  ASSERT_TRUE(json::parse(Json, Doc)) << Json;
+  const json::Value *Slos = Doc.field("slos");
+  ASSERT_NE(Slos, nullptr);
+  ASSERT_EQ(Slos->Arr.size(), 1u);
+  EXPECT_EQ(Slos->Arr[0].str("series"), "odd\tname");
+}
+
 //===----------------------------------------------------------------------===//
 // SLO breach and recovery
 //===----------------------------------------------------------------------===//
@@ -285,15 +407,17 @@ std::string sloRun(std::string *TraceJson) {
       // Slow (5000ns) samples for 6us, then fast (100ns) for another 10us:
       // the p99-over-2us burns through the threshold, then recovers once
       // the slow windows age out of the SLO span.
-      static sim::Task<void> run(net::Network &Net) {
+      static sim::Task<void> run(net::Network &Net,
+                                 metrics::Histogram &OpLatency) {
         for (int T = 0; T < 16; ++T) {
           co_await Net.sim().delay(sim::SimTime::nanoseconds(1000));
           int64_t Now = Net.sim().now().nanosecondsCount();
-          telemetry::record(1, "op.latency", Now, T < 6 ? 5000 : 100);
+          metrics::record(OpLatency, T < 6 ? 5000 : 100, 1, Now);
         }
       }
     };
-    Net.sim().spawn(Driver::run(Net));
+    Net.sim().spawn(Driver::run(
+        Net, metrics::Registry::global().histogramHandle("op.latency")));
     Net.sim().run();
     Json = Plane.exportJson();
   }

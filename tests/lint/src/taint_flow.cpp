@@ -43,3 +43,14 @@ void suppressedExport() {
   // parcs-lint: allow(determinism-taint): one-shot debug export, audited.
   trace::counter("debug_elapsed", S);
 }
+
+namespace metrics {
+struct Histogram;
+void record(Histogram &H, long Value, int Node, long AtNs);
+}
+
+void exportsTimedRecord(metrics::Histogram &H, long SimNow) {
+  WallTimer T;
+  long Ns = static_cast<long>(T.seconds() * 1e9);
+  metrics::record(H, Ns, 0, SimNow); // FINDING: wall-clock live sample
+}
