@@ -117,6 +117,7 @@ public:
   /// Binds (node, port) and returns the delivery channel.  Binding twice
   /// returns the same channel.
   sim::Channel<Message> &bind(int NodeId, int Port);
+  /// False for unbound ports and for nodes outside the cluster alike.
   bool isBound(int NodeId, int Port) const;
 
   /// Queues \p Payload for transmission from \p Src to (\p Dst, \p Port).

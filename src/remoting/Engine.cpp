@@ -129,7 +129,7 @@ RpcEndpoint::RpcEndpoint(vm::Node &Host, net::Network &Net,
   // liveness epoch.
   RestartHookId = Host.addRestartHook([this] {
     for (auto It = DedupWindow.begin(); It != DedupWindow.end();) {
-      if (!It->second.Done) {
+      if (!It->second) {
         std::erase(DedupOrder, It->first);
         It = DedupWindow.erase(It);
       } else {
@@ -208,10 +208,11 @@ sim::SimTime RpcEndpoint::sideCost(size_t WireBytes) const {
 }
 
 // PARCS_HOT_BEGIN(wire-framing): once per RPC in each direction; framing
-// emits into reserved/reused buffers and unframing aliases the wire bytes.
+// emits into reserved/reused buffers, unframing aliases the wire bytes, and
+// the call/reply codec below is the only code that writes or reads a body.
 
 Bytes RpcEndpoint::frame(MsgKind Kind, std::string_view EnvelopeName,
-                         const Bytes &Body, bool Response) const {
+                         const Bytes &Body) const {
   bool Checksummed = wireChecksums();
   Bytes Wire;
   if (!Profile.HttpFraming) {
@@ -228,7 +229,7 @@ Bytes RpcEndpoint::frame(MsgKind Kind, std::string_view EnvelopeName,
     serial::encodeEnvelopeInto(Profile.Format, EnvelopeName, Body, EnvScratch);
     Wire.reserve(MaxHttpHeaderBytes + EnvScratch.size() +
                  (Checksummed ? 4 : 0));
-    if (Response)
+    if (Kind == KindReturn)
       appendHttpResponseHeader(Wire, EnvScratch.size());
     else
       appendHttpRequestHeader(Wire, EnvScratch.size(), EnvelopeName);
@@ -285,6 +286,118 @@ ErrorOr<std::span<const uint8_t>> RpcEndpoint::unframe(const Bytes &Wire) const 
   return std::span<const uint8_t>(Wire.data() + BodyStart, Length);
 }
 
+ErrorOr<serial::Envelope> RpcEndpoint::openFrame(const Bytes &Wire) const {
+  ErrorOr<std::span<const uint8_t>> Content = unframe(Wire);
+  if (!Content || Content->empty())
+    return Content ? Error(ErrorCode::MalformedMessage, "no kind byte")
+                   : Content.error();
+  return serial::decodeEnvelope(Profile.Format, Content->data() + 1,
+                                Content->size() - 1);
+}
+
+Bytes RpcEndpoint::encodeCall(const CallBody &C) {
+  serial::OutputArchive Body;
+  Body.write(C.CallId);
+  Body.write(C.Flags);
+  if (C.Flags & FlagHasContext)
+    serial::encodeCausalContext(Body, C.WireCtx, C.WireParent);
+  if (C.Flags & FlagHasDedup)
+    Body.write(C.DedupId);
+  Body.write(C.ReplyNode);
+  Body.write(C.ReplyPort);
+  Body.write(C.Object);
+  Body.write(C.Method);
+  Body.write(static_cast<uint32_t>(C.Args.size()));
+  Body.writeRaw(C.Args);
+  Bytes Wire = frame(KindCall, C.Method, Body.bytes());
+  Stats.WireBytesSent += Wire.size();
+  return Wire;
+}
+
+bool RpcEndpoint::decodeCall(const serial::Envelope &Env, CallBody &Out,
+                             bool PrefixOnly) const {
+  serial::InputArchive Body(Env.Payload);
+  if (!Body.read(Out.CallId) || !Body.read(Out.Flags) ||
+      ((Out.Flags & FlagHasContext) &&
+       !serial::decodeCausalContext(Body, Out.WireCtx, Out.WireParent)) ||
+      ((Out.Flags & FlagHasDedup) && !Body.read(Out.DedupId)) ||
+      !Body.read(Out.ReplyNode) || !Body.read(Out.ReplyPort))
+    return false;
+  // Replies, forwards and parked replays all send to these coordinates, so
+  // a forged address is rejected here rather than when a reply is sent.
+  if (!Net.isBound(Out.ReplyNode, Out.ReplyPort))
+    return false;
+  if (PrefixOnly)
+    return true;
+  uint32_t ArgsSize = 0;
+  return Body.read(Out.Object) && Body.read(Out.Method) &&
+         Body.read(ArgsSize) && Body.readRaw(Out.Args, ArgsSize);
+}
+
+Bytes RpcEndpoint::encodeReply(uint64_t CallId, const ErrorOr<Bytes> *Result,
+                               uint64_t RetryAfterNs) {
+  serial::OutputArchive Body;
+  Body.write(CallId);
+  if (!Result) {
+    Body.write(static_cast<uint8_t>(StatusOverloaded));
+    Body.write(RetryAfterNs);
+  } else if (*Result) {
+    Body.write(static_cast<uint8_t>(StatusOk));
+    Body.writeRaw(Result->get());
+  } else {
+    Body.write(static_cast<uint8_t>(StatusFault));
+    Body.write(static_cast<uint8_t>(Result->error().code()));
+    Body.write(Result->error().message());
+  }
+  Bytes Wire = frame(KindReturn, "ret", Body.bytes());
+  Stats.WireBytesSent += Wire.size();
+  return Wire;
+}
+
+bool RpcEndpoint::decodeReply(const serial::Envelope &Env, uint64_t &CallId,
+                              ErrorOr<Bytes> &Result) const {
+  serial::InputArchive Body(Env.Payload);
+  uint8_t Status = 0;
+  if (!Body.read(CallId) || !Body.read(Status))
+    return false;
+  if (Status == StatusOk) {
+    Bytes Value;
+    Body.readRemaining(Value);
+    Result = std::move(Value);
+    return true;
+  }
+  if (Status == StatusOverloaded) {
+    // Admission refusal: surface the server's retry-after hint in the
+    // message so callReliable() can honour it (and callers can log it).
+    uint64_t RetryAfterNs = 0;
+    if (!Body.read(RetryAfterNs)) {
+      Result = Error(ErrorCode::MalformedMessage, "truncated overload hint");
+      return true;
+    }
+    char Digits[20];
+    char *End =
+        std::to_chars(Digits, Digits + sizeof(Digits), RetryAfterNs).ptr;
+    std::string Message = "server overloaded; retry-after=";
+    Message.append(Digits, End);
+    Message += "ns";
+    Result = Error(ErrorCode::Overloaded, std::move(Message));
+    return true;
+  }
+  uint8_t Code = 0;
+  std::string Message;
+  if (!Body.read(Code) || !Body.read(Message)) {
+    Result = Error(ErrorCode::MalformedMessage, "truncated fault");
+    return true;
+  }
+  if (Code < static_cast<uint8_t>(ErrorCode::MalformedMessage) ||
+      Code > static_cast<uint8_t>(ErrorCode::Overloaded)) {
+    Result = Error(ErrorCode::MalformedMessage, "fault with unknown code");
+    return true;
+  }
+  Result = Error(static_cast<ErrorCode>(Code), std::move(Message));
+  return true;
+}
+
 // PARCS_HOT_END
 
 ErrorOr<std::shared_ptr<CallHandler>>
@@ -305,14 +418,47 @@ RpcEndpoint::resolveTarget(const std::string &Name) {
   return Reg.Instance;
 }
 
-sim::Task<void> RpcEndpoint::ensureConnected(int DstNode, int DstPort) {
-  if (Profile.ConnectSetup.isZero() || DstNode == Host.id())
-    co_return;
-  // Mark connected before waiting so concurrent first calls don't each
-  // pay the handshake.
-  if (!Connected.insert({DstNode, DstPort}).second)
-    co_return;
-  co_await Host.sim().delay(Profile.ConnectSetup);
+sim::Task<RpcEndpoint::Issued>
+RpcEndpoint::issue(int DstNode, int DstPort, CallBody C) {
+  // First contact with a destination pays the stack's connection setup,
+  // marked before the wait so concurrent first calls pay it once.
+  if (!Profile.ConnectSetup.isZero() && DstNode != Host.id() &&
+      Connected.insert({DstNode, DstPort}).second)
+    co_await Host.sim().delay(Profile.ConnectSetup);
+  C.CallId = NextCallId++;
+  // The call's causal identity: minted here, carried in the body's
+  // optional context header, restored server-side.  0 (and absent from
+  // the wire) when tracing is off.
+  C.WireCtx = trace::mintCausalId();
+  if (C.WireCtx)
+    C.Flags |= FlagHasContext;
+  C.ReplyNode = Host.id();
+  C.ReplyPort = Port;
+  Bytes Wire = encodeCall(C);
+
+  Issued Out{C.CallId, C.WireCtx, Host.sim().now().nanosecondsCount()};
+  if (C.Flags & FlagOneWay) {
+    ++Stats.OneWaySent;
+    trace::instantCtx(Host.id(), 0, "rpc.oneway", Out.AtNs, C.WireCtx,
+                      C.WireParent);
+  } else {
+    ++Stats.CallsIssued;
+    trace::asyncBeginCtx(Host.id(), "rpc.call", Out.AtNs,
+                         callSpanId(Host.id(), Port, C.CallId), C.WireCtx,
+                         C.WireParent);
+  }
+
+  // Client-side marshalling + channel sink cost, then hand to the NIC.
+  co_await Host.compute(sideCost(Wire.size()));
+  uint64_t SendCtx = 0;
+  if (C.WireCtx) {
+    SendCtx = trace::mintCausalId();
+    trace::completeCtx(Host.id(), 0, "rpc.send", Out.AtNs,
+                       Host.sim().now().nanosecondsCount() - Out.AtNs,
+                       SendCtx, C.WireCtx);
+  }
+  Net.send(Host.id(), DstNode, DstPort, std::move(Wire), SendCtx);
+  co_return Out;
 }
 
 sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
@@ -321,55 +467,19 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
                                             sim::SimTime Timeout,
                                             uint64_t ParentCtx,
                                             uint64_t DedupId) {
-  co_await ensureConnected(DstNode, DstPort);
-  uint64_t CallId = NextCallId++;
-  // The round trip's causal identity: minted here, carried in the body's
-  // optional context header, restored server-side.  0 (and absent from
-  // the wire) when tracing is off.
-  uint64_t CallCtx = trace::mintCausalId();
-  serial::OutputArchive Body;
-  Body.write(CallId);
-  Body.write(static_cast<uint8_t>((CallCtx ? FlagHasContext : 0) |
-                                  (DedupId ? FlagHasDedup : 0)));
-  if (CallCtx)
-    serial::encodeCausalContext(Body, CallCtx, ParentCtx);
-  if (DedupId)
-    Body.write(DedupId);
-  Body.write(static_cast<int32_t>(Host.id()));
-  Body.write(static_cast<int32_t>(Port));
-  Body.write(ObjectName);
-  Body.write(Method);
-  Body.write(static_cast<uint32_t>(Args.size()));
-  Body.writeRaw(Args);
-
-  Bytes Wire = frame(KindCall, Method, Body.bytes(), /*Response=*/false);
-  ++Stats.CallsIssued;
-  Stats.WireBytesSent += Wire.size();
-
-  int64_t IssuedNs = Host.sim().now().nanosecondsCount();
-  trace::asyncBeginCtx(Host.id(), "rpc.call", IssuedNs,
-                       callSpanId(Host.id(), Port, CallId), CallCtx,
-                       ParentCtx);
+  CallBody C{.Flags = static_cast<uint8_t>(DedupId ? FlagHasDedup : 0),
+             .WireParent = ParentCtx, .DedupId = DedupId,
+             .Object = std::move(ObjectName), .Method = std::move(Method),
+             .Args = std::move(Args)};
+  Issued Sent = co_await issue(DstNode, DstPort, std::move(C));
 
   sim::Promise<ErrorOr<Bytes>> Reply(Host.sim());
-  PendingCalls.emplace(CallId, PendingCall{Reply, CallCtx});
-
-  // Client-side marshalling + channel sink cost, then hand to the NIC.
-  co_await Host.compute(sideCost(Wire.size()));
-  uint64_t SendCtx = 0;
-  if (CallCtx) {
-    SendCtx = trace::mintCausalId();
-    trace::completeCtx(Host.id(), 0, "rpc.send", IssuedNs,
-                       Host.sim().now().nanosecondsCount() - IssuedNs,
-                       SendCtx, CallCtx);
-  }
-  Net.send(Host.id(), DstNode, DstPort, std::move(Wire), SendCtx);
-
+  PendingCalls.emplace(Sent.CallId, PendingCall{Reply, Sent.Ctx});
   if (Timeout > sim::SimTime()) {
     // Arm the deadline: if the reply has not resolved the promise by
     // then, fail the call and forget it (a late reply is dropped as an
     // unknown call id).
-    Host.sim().schedule(Timeout, [this, CallId] {
+    Host.sim().schedule(Timeout, [this, CallId = Sent.CallId] {
       auto It = PendingCalls.find(CallId);
       if (It == PendingCalls.end())
         return;
@@ -387,12 +497,13 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::call(int DstNode, int DstPort,
   int64_t DoneNs = Host.sim().now().nanosecondsCount();
   // PARCS_HOT_BEGIN(rpc-call-accounting): once per completed call;
   // resolved handles only, no name lookups.
-  metrics::record(CallLatency, DoneNs - IssuedNs);
+  metrics::record(CallLatency, DoneNs - Sent.AtNs);
   metrics::add(CallsDone, 1, Host.id(), DoneNs);
-  metrics::record(CallLatencyLive, DoneNs - IssuedNs, Host.id(), DoneNs);
+  metrics::record(CallLatencyLive, DoneNs - Sent.AtNs, Host.id(), DoneNs);
   // PARCS_HOT_END
   trace::asyncEndCtx(Host.id(), "rpc.call", DoneNs,
-                     callSpanId(Host.id(), Port, CallId), CallCtx, ParentCtx);
+                     callSpanId(Host.id(), Port, Sent.CallId), Sent.Ctx,
+                     ParentCtx);
   co_return Result;
 }
 
@@ -499,36 +610,10 @@ sim::Task<void> RpcEndpoint::callOneWay(int DstNode, int DstPort,
                                         std::string ObjectName,
                                         std::string Method, Bytes Args,
                                         uint64_t ParentCtx) {
-  co_await ensureConnected(DstNode, DstPort);
-  uint64_t CallId = NextCallId++;
-  uint64_t CallCtx = trace::mintCausalId();
-  serial::OutputArchive Body;
-  Body.write(CallId);
-  Body.write(static_cast<uint8_t>(FlagOneWay |
-                                  (CallCtx ? FlagHasContext : 0)));
-  if (CallCtx)
-    serial::encodeCausalContext(Body, CallCtx, ParentCtx);
-  Body.write(static_cast<int32_t>(Host.id()));
-  Body.write(static_cast<int32_t>(Port));
-  Body.write(ObjectName);
-  Body.write(Method);
-  Body.write(static_cast<uint32_t>(Args.size()));
-  Body.writeRaw(Args);
-
-  Bytes Wire = frame(KindCall, Method, Body.bytes(), /*Response=*/false);
-  ++Stats.OneWaySent;
-  Stats.WireBytesSent += Wire.size();
-  int64_t IssuedNs = Host.sim().now().nanosecondsCount();
-  trace::instantCtx(Host.id(), 0, "rpc.oneway", IssuedNs, CallCtx, ParentCtx);
-  co_await Host.compute(sideCost(Wire.size()));
-  uint64_t SendCtx = 0;
-  if (CallCtx) {
-    SendCtx = trace::mintCausalId();
-    trace::completeCtx(Host.id(), 0, "rpc.send", IssuedNs,
-                       Host.sim().now().nanosecondsCount() - IssuedNs,
-                       SendCtx, CallCtx);
-  }
-  Net.send(Host.id(), DstNode, DstPort, std::move(Wire), SendCtx);
+  CallBody C{.Flags = FlagOneWay, .WireParent = ParentCtx,
+             .Object = std::move(ObjectName), .Method = std::move(Method),
+             .Args = std::move(Args)};
+  co_await issue(DstNode, DstPort, std::move(C));
 }
 
 sim::Task<void> RpcEndpoint::dispatchLoop() {
@@ -570,7 +655,7 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
       int64_t RecvNs = Host.sim().now().nanosecondsCount();
       if (!co_await Host.computeChecked(sideCost(Msg.Payload.size())))
         continue;
-      handleReturn(*Content, RecvNs, Msg.TraceCtx);
+      handleReturn(Msg.Payload, RecvNs, Msg.TraceCtx);
       continue;
     }
     if (Kind == KindCall) {
@@ -613,18 +698,12 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
   }
 }
 
-void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
-                               int64_t RecvNs, uint64_t WireCtx) {
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
-      Profile.Format, Content.data() + 1, Content.size() - 1);
-  if (!Env) {
-    ++Stats.MalformedDropped;
-    return;
-  }
-  serial::InputArchive Body(Env->Payload);
+void RpcEndpoint::handleReturn(const Bytes &Wire, int64_t RecvNs,
+                               uint64_t WireCtx) {
+  ErrorOr<serial::Envelope> Env = openFrame(Wire);
   uint64_t CallId = 0;
-  uint8_t Status = 0;
-  if (!Body.read(CallId) || !Body.read(Status)) {
+  ErrorOr<Bytes> Result(Bytes{});
+  if (!Env || !decodeReply(*Env, CallId, Result)) {
     ++Stats.MalformedDropped;
     return;
   }
@@ -656,60 +735,19 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
                        NowNs - RecvNs, ReplyCtx, WireCtx);
     trace::instantCtx(Host.id(), 0, "rpc.link", NowNs, CallCtx, ReplyCtx);
   }
-  if (Status == StatusOk) {
-    Bytes Result;
-    if (!Body.readRemaining(Result)) {
-      Reply.set(Error(ErrorCode::MalformedMessage, "truncated result"));
-      return;
-    }
-    Reply.set(std::move(Result));
-    return;
-  }
-  if (Status == StatusOverloaded) {
-    // Admission refusal: surface the server's retry-after hint in the
-    // message so callReliable() can honour it (and callers can log it).
-    uint64_t RetryAfterNs = 0;
-    Body.read(RetryAfterNs);
-    Reply.set(Error(ErrorCode::Overloaded,
-                    "server overloaded; retry-after=" +
-                        std::to_string(RetryAfterNs) + "ns"));
-    return;
-  }
-  uint8_t Code = 0;
-  std::string Message;
-  if (!Body.read(Code) || !Body.read(Message)) {
-    Reply.set(Error(ErrorCode::MalformedMessage, "truncated fault"));
-    return;
-  }
-  Reply.set(Error(static_cast<ErrorCode>(Code), Message));
+  Reply.set(std::move(Result));
 }
 
 sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
-  // Re-parse the minimal body prefix: just enough to know who to answer.
-  ErrorOr<std::span<const uint8_t>> Content = unframe(Msg.Payload);
-  assert(Content && !Content->empty() && "checked in dispatchLoop");
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
-      Profile.Format, Content->data() + 1, Content->size() - 1);
-  if (!Env) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-  serial::InputArchive Body(Env->Payload);
-  uint64_t CallId = 0;
-  uint8_t Flags = 0;
-  uint64_t WireCtx = 0, WireParent = 0;
-  uint64_t DedupId = 0;
-  int32_t ReplyNode = 0, ReplyPort = 0;
-  if (!Body.read(CallId) || !Body.read(Flags) ||
-      ((Flags & FlagHasContext) &&
-       !serial::decodeCausalContext(Body, WireCtx, WireParent)) ||
-      ((Flags & FlagHasDedup) && !Body.read(DedupId)) ||
-      !Body.read(ReplyNode) || !Body.read(ReplyPort)) {
+  // Decode just the body prefix: enough to know who to answer.
+  ErrorOr<serial::Envelope> Env = openFrame(Msg.Payload);
+  CallBody C;
+  if (!Env || !decodeCall(*Env, C, /*PrefixOnly=*/true)) {
     ++Stats.MalformedDropped;
     co_return;
   }
   int64_t NowNs = Host.sim().now().nanosecondsCount();
-  if (Flags & FlagOneWay) {
+  if (C.Flags & FlagOneWay) {
     // No caller is waiting for a reply, so there is nobody to hint: the
     // call is shed and the counter is its only residue.
     ++Stats.OverloadShed;
@@ -732,39 +770,22 @@ sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
     HintNs = BaseNs;
   if (MaxNs > 0 && HintNs > MaxNs)
     HintNs = MaxNs;
-  serial::OutputArchive Out;
-  Out.write(CallId);
-  Out.write(static_cast<uint8_t>(StatusOverloaded));
-  Out.write(static_cast<uint64_t>(HintNs));
-  Bytes Wire = frame(KindReturn, "ret", Out.bytes(), /*Response=*/true);
-  Stats.WireBytesSent += Wire.size();
+  Bytes Wire =
+      encodeReply(C.CallId, /*Result=*/nullptr, static_cast<uint64_t>(HintNs));
   // computeChecked: a crash mid-rejection must not park the dispatch loop.
   if (!co_await Host.computeChecked(sideCost(Wire.size())))
     co_return;
-  Net.send(Host.id(), ReplyNode, ReplyPort, std::move(Wire), 0);
+  Net.send(Host.id(), C.ReplyNode, C.ReplyPort, std::move(Wire), 0);
 }
 
-// PARCS_HOT_BEGIN(migrate-replay): forwarding rebuilds one frame from
-// already-parsed fields into a reserved buffer and hands it to the NIC --
-// no re-parse, no suspension; cutover itself is plain map surgery.
+// PARCS_HOT_BEGIN(migrate-replay): forwarding re-encodes one frame from
+// already-decoded fields and hands it to the NIC -- no re-parse, no
+// suspension; cutover itself is plain map surgery.
 
-void RpcEndpoint::forwardCall(const ParkedCall &P, const MovedRoute &Route) {
-  serial::OutputArchive Body;
-  Body.write(P.CallId);
-  Body.write(P.Flags);
-  if (P.Flags & FlagHasContext)
-    serial::encodeCausalContext(Body, P.WireCtx, P.WireParent);
-  if (P.Flags & FlagHasDedup)
-    Body.write(P.DedupId);
-  Body.write(P.ReplyNode);
-  Body.write(P.ReplyPort);
-  Body.write(Route.Name);
-  Body.write(P.Method);
-  Body.write(static_cast<uint32_t>(P.Args.size()));
-  Body.writeRaw(P.Args);
-  Bytes Wire = frame(KindCall, P.Method, Body.bytes(), /*Response=*/false);
+void RpcEndpoint::forwardCall(CallBody &C, const MovedRoute &Route) {
+  C.Object = Route.Name;
+  Bytes Wire = encodeCall(C);
   ++Stats.CallsForwarded;
-  Stats.WireBytesSent += Wire.size();
   trace::instant(Host.id(), 0, "om.migrate.forward",
                  Host.sim().now().nanosecondsCount());
   Net.send(Host.id(), Route.Node, Route.Port, std::move(Wire), 0);
@@ -779,13 +800,13 @@ void RpcEndpoint::completeMove(const std::string &Name,
   auto It = ParkedByName.find(Name);
   if (It == ParkedByName.end())
     return;
-  std::vector<ParkedCall> Replay = std::move(It->second);
+  std::vector<CallBody> Replay = std::move(It->second);
   ParkedByName.erase(It);
   // Replay in arrival order; the original CallId / reply coordinates /
   // dedup id ride along, so replies go straight to the callers and the
   // destination's dedup window absorbs any retransmitted twins.
-  for (const ParkedCall &P : Replay)
-    forwardCall(P, Dst);
+  for (CallBody &C : Replay)
+    forwardCall(C, Dst);
 }
 
 void RpcEndpoint::cancelPark(const std::string &Name) {
@@ -793,15 +814,15 @@ void RpcEndpoint::cancelPark(const std::string &Name) {
   auto It = ParkedByName.find(Name);
   if (It == ParkedByName.end())
     return;
-  std::vector<ParkedCall> Replay = std::move(It->second);
+  std::vector<CallBody> Replay = std::move(It->second);
   ParkedByName.erase(It);
   // Aborted migration: the source copy is still published, so re-deliver
   // the parked calls to ourselves over the loopback -- they re-enter the
   // normal dispatch path (admission included) as if the park never
   // happened, in arrival order.
   MovedRoute Self{Host.id(), Port, Name};
-  for (const ParkedCall &P : Replay)
-    forwardCall(P, Self);
+  for (CallBody &C : Replay)
+    forwardCall(C, Self);
 }
 
 // PARCS_HOT_END
@@ -826,42 +847,9 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // Server-side unmarshalling cost for the incoming wire bytes.
   co_await Host.compute(sideCost(Msg.Payload.size()));
 
-  ErrorOr<std::span<const uint8_t>> Content = unframe(Msg.Payload);
-  assert(Content && !Content->empty() && "checked in dispatchLoop");
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
-      Profile.Format, Content->data() + 1, Content->size() - 1);
-  if (!Env) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-
-  serial::InputArchive Body(Env->Payload);
-  uint64_t CallId = 0;
-  uint8_t Flags = 0;
-  int32_t ReplyNode = 0, ReplyPort = 0;
-  std::string ObjectName, Method;
-  uint32_t ArgsSize = 0;
-  Bytes Args;
-  if (!Body.read(CallId) || !Body.read(Flags)) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-  // Restore the caller's causal identity from the wire header.
-  uint64_t WireCtx = 0, WireParent = 0;
-  if ((Flags & FlagHasContext) &&
-      !serial::decodeCausalContext(Body, WireCtx, WireParent)) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-  // Logical-call id for at-most-once handling of retransmissions.
-  uint64_t DedupId = 0;
-  if ((Flags & FlagHasDedup) && !Body.read(DedupId)) {
-    ++Stats.MalformedDropped;
-    co_return;
-  }
-  if (!Body.read(ReplyNode) || !Body.read(ReplyPort) ||
-      !Body.read(ObjectName) || !Body.read(Method) || !Body.read(ArgsSize) ||
-      !Body.readRaw(Args, ArgsSize)) {
+  ErrorOr<serial::Envelope> Env = openFrame(Msg.Payload);
+  CallBody C;
+  if (!Env || !decodeCall(*Env, C, /*PrefixOnly=*/false)) {
     ++Stats.MalformedDropped;
     co_return;
   }
@@ -887,26 +875,21 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // At-most-once: a retransmission of a logical call we have already seen
   // must not execute the method again.  In-progress duplicates are
   // dropped (the original execution's reply, or the client's next retry,
-  // covers it); completed ones are answered from the cached reply tail
-  // under the retransmission's fresh CallId.
-  bool TwoWay = !(Flags & FlagOneWay);
-  DedupKey Key{ReplyNode, ReplyPort, DedupId};
-  if (TwoWay && DedupId != 0) {
+  // covers it); completed ones are answered from the cached result under
+  // the retransmission's fresh CallId.
+  bool TwoWay = !(C.Flags & FlagOneWay);
+  DedupKey Key{C.ReplyNode, C.ReplyPort, C.DedupId};
+  if (TwoWay && C.DedupId != 0) {
     auto Dup = DedupWindow.find(Key);
     if (Dup != DedupWindow.end()) {
-      if (!Dup->second.Done) {
+      if (!Dup->second) {
         ++Stats.DedupSuppressed;
         co_return;
       }
       ++Stats.DedupHits;
-      serial::OutputArchive Cached;
-      Cached.write(CallId);
-      Cached.writeRaw(Dup->second.ReplyTail);
-      Bytes CachedWire = frame(KindReturn, "ret", Cached.bytes(),
-                               /*Response=*/true);
-      Stats.WireBytesSent += CachedWire.size();
+      Bytes CachedWire = encodeReply(C.CallId, &*Dup->second);
       co_await Host.compute(sideCost(CachedWire.size()));
-      Net.send(Host.id(), ReplyNode, ReplyPort, std::move(CachedWire), 0);
+      Net.send(Host.id(), C.ReplyNode, C.ReplyPort, std::move(CachedWire), 0);
       co_return;
     }
   }
@@ -916,38 +899,33 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // never re-executed at the destination) and the in-progress *insert* (a
   // parked call must not squat an entry its own forwarded replay would
   // then trip over).
-  if (const MovedRoute *Route = movedRoute(ObjectName)) {
+  if (const MovedRoute *Route = movedRoute(C.Object)) {
     // Straggler for a name that migrated away: forward it under the new
     // name; the destination replies straight to the original caller.
-    forwardCall(ParkedCall{CallId, Flags, WireCtx, WireParent, DedupId,
-                           ReplyNode, ReplyPort, std::move(Method),
-                           std::move(Args)},
-                *Route);
+    forwardCall(C, *Route);
     co_return;
   }
-  if (ParkedNames.count(ObjectName) != 0) {
-    // The object's mailbox is frozen mid-migration: hold the parsed call
+  if (ParkedNames.count(C.Object) != 0) {
+    // The object's mailbox is frozen mid-migration: hold the decoded call
     // for replay at cutover (or local re-delivery on abort).
     ++Stats.CallsParked;
     trace::instant(Host.id(), 0, "om.migrate.parked",
                    Host.sim().now().nanosecondsCount());
-    ParkedByName[ObjectName].push_back(
-        ParkedCall{CallId, Flags, WireCtx, WireParent, DedupId, ReplyNode,
-                   ReplyPort, std::move(Method), std::move(Args)});
+    ParkedByName[C.Object].push_back(std::move(C));
     co_return;
   }
 
-  if (TwoWay && DedupId != 0) {
+  if (TwoWay && C.DedupId != 0) {
     if (DedupOrder.size() >= DedupWindowCap) {
       DedupWindow.erase(DedupOrder.front());
       DedupOrder.pop_front();
     }
-    DedupWindow.emplace(Key, DedupEntry{});
+    DedupWindow.emplace(Key, std::nullopt);
     DedupOrder.push_back(Key);
   }
 
   ErrorOr<Bytes> Result(Bytes{});
-  ErrorOr<std::shared_ptr<CallHandler>> Target = resolveTarget(ObjectName);
+  ErrorOr<std::shared_ptr<CallHandler>> Target = resolveTarget(C.Object);
   if (!Target) {
     Result = Target.error();
   } else {
@@ -959,52 +937,38 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
       trace::handoff(ServeCtx);
     // Executing-call count per name: migration drains this to zero after
     // parking, so state capture never races a running method.
-    ++InFlightByName[ObjectName];
-    Result = co_await (*Target)->handleCall(Method, Args);
-    auto InF = InFlightByName.find(ObjectName);
+    ++InFlightByName[C.Object];
+    Result = co_await (*Target)->handleCall(C.Method, C.Args);
+    auto InF = InFlightByName.find(C.Object);
     if (InF != InFlightByName.end() && --InF->second == 0)
       InFlightByName.erase(InF);
     if (ServeCtx)
       trace::handoff(0);
   }
 
-  if (Flags & FlagOneWay) {
+  if (!TwoWay) {
     if (!Result) {
       LogNodeScope Scope(Host.id());
-      PARCS_LOG(Warn, "one-way call '" << ObjectName << "." << Method
+      PARCS_LOG(Warn, "one-way call '" << C.Object << "." << C.Method
                                        << "' faulted: "
                                        << Result.error().str());
     }
     trace::completeCtx(Host.id(), 0, "rpc.serve", ServeStartNs,
                        Host.sim().now().nanosecondsCount() - ServeStartNs,
-                       ServeCtx, WireCtx);
+                       ServeCtx, C.WireCtx);
     co_return;
   }
 
   int64_t ReplyStartNs = Host.sim().now().nanosecondsCount();
-  serial::OutputArchive Out;
-  Out.write(CallId);
-  if (Result) {
-    Out.write(static_cast<uint8_t>(StatusOk));
-    Out.writeRaw(Result.get());
-  } else {
-    Out.write(static_cast<uint8_t>(StatusFault));
-    Out.write(static_cast<uint8_t>(Result.error().code()));
-    Out.write(Result.error().message());
-  }
-  if (TwoWay && DedupId != 0) {
-    // Cache everything after the 8-byte CallId: a retransmission gets the
-    // same status + payload under its own attempt's id.  Refind -- the
-    // entry may have been FIFO-evicted while the method ran.
+  if (C.DedupId != 0) {
+    // A retransmission gets the same status + payload under its own
+    // attempt's id.  Refind -- the entry may have been FIFO-evicted while
+    // the method ran.
     auto Dup = DedupWindow.find(Key);
-    if (Dup != DedupWindow.end()) {
-      Dup->second.Done = true;
-      Dup->second.ReplyTail.assign(Out.bytes().begin() + 8,
-                                   Out.bytes().end());
-    }
+    if (Dup != DedupWindow.end())
+      Dup->second = Result;
   }
-  Bytes Wire = frame(KindReturn, "ret", Out.bytes(), /*Response=*/true);
-  Stats.WireBytesSent += Wire.size();
+  Bytes Wire = encodeReply(C.CallId, &Result);
   co_await Host.compute(sideCost(Wire.size()));
   uint64_t ReplySendCtx = 0;
   if (ServeCtx) {
@@ -1013,8 +977,8 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
                        Host.sim().now().nanosecondsCount() - ReplyStartNs,
                        ReplySendCtx, ServeCtx);
   }
-  Net.send(Host.id(), ReplyNode, ReplyPort, std::move(Wire), ReplySendCtx);
+  Net.send(Host.id(), C.ReplyNode, C.ReplyPort, std::move(Wire), ReplySendCtx);
   trace::completeCtx(Host.id(), 0, "rpc.serve", ServeStartNs,
                      Host.sim().now().nanosecondsCount() - ServeStartNs,
-                     ServeCtx, WireCtx);
+                     ServeCtx, C.WireCtx);
 }

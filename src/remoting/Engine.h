@@ -22,6 +22,19 @@
 ///     object, runs the method (which charges its own compute), marshals
 ///     the result and sends the reply symmetrically.
 ///
+/// Wire layout.  A frame is [HTTP header], kind byte, envelope (named for
+/// the method on calls, "ret" on replies) and, while a fault hook is
+/// installed, a CRC32 trailer.  Bodies are little-endian with u32-length
+/// strings; RpcEndpoint::encodeCall/decodeCall and encodeReply/decodeReply
+/// are the only code that writes or reads them, and the decoders answer
+/// hostile bytes with a typed error or a counted drop, never an abort:
+///   call:  u64 CallId, u8 Flags, [causal context], [u64 DedupId],
+///          i32 ReplyNode, i32 ReplyPort, str Object, str Method,
+///          u32 ArgLen, ArgLen bytes of args
+///   reply: u64 CallId, u8 Status, then the result bytes to the end (Ok),
+///          u8 ErrorCode + str Message (Fault), or u64 retry-after ns
+///          (Overloaded)
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCS_REMOTING_ENGINE_H
@@ -38,6 +51,7 @@
 
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -159,6 +173,7 @@ public:
   ~RpcEndpoint();
 
   vm::Node &node() { return Host; }
+  net::Network &network() { return Net; }
   int port() const { return Port; }
   const StackProfile &profile() const { return Profile; }
   const EndpointStats &stats() const { return Stats; }
@@ -308,12 +323,9 @@ public:
 
 private:
   enum MsgKind : uint8_t { KindCall = 0xC1, KindReturn = 0xC2 };
-  /// FlagHasContext marks a body whose flags byte is followed by the
-  /// causal-context header (serial::encodeCausalContext) -- present only
-  /// on traced runs, so untraced wire bytes are unchanged.  FlagHasDedup
-  /// marks a body carrying a dedup id after the (optional) context --
-  /// present only on callReliable() attempts, so plain calls are likewise
-  /// unchanged.
+  /// Call-body flag bits (layout in the file comment).  The context and
+  /// dedup fields are present only on traced runs and callReliable()
+  /// attempts respectively, so plain untraced calls carry neither.
   enum CallFlags : uint8_t {
     FlagOneWay = 0x01,
     FlagHasContext = 0x02,
@@ -341,17 +353,53 @@ private:
   /// legacy wire bytes.
   bool wireChecksums() const { return Net.faultHook() != nullptr; }
 
-  /// First contact with a destination pays the stack's connection setup.
-  sim::Task<void> ensureConnected(int DstNode, int DstPort);
+  /// One call body (layout in the file comment): what the issue path
+  /// encodes, the server decodes, and a park holds for replay.
+  struct CallBody {
+    uint64_t CallId = 0;
+    uint8_t Flags = 0;
+    uint64_t WireCtx = 0, WireParent = 0;
+    uint64_t DedupId = 0;
+    int32_t ReplyNode = 0, ReplyPort = 0;
+    std::string Object, Method;
+    Bytes Args;
+  };
+
+  /// Writes, frames and counts (WireBytesSent) one call body.
+  Bytes encodeCall(const CallBody &C);
+  /// Reads a call body, only up to the reply port when \p PrefixOnly.
+  /// False on truncation or a reply address no endpoint could answer.
+  bool decodeCall(const serial::Envelope &Env, CallBody &Out,
+                  bool PrefixOnly) const;
+  /// Writes, frames and counts one reply body: \p Result's value or fault,
+  /// or when \p Result is null an admission refusal with its hint.
+  Bytes encodeReply(uint64_t CallId, const ErrorOr<Bytes> *Result,
+                    uint64_t RetryAfterNs = 0);
+  /// False (drop the frame) when CallId or status does not parse; else
+  /// \p Result is what the caller gets, MalformedMessage for a bad tail.
+  bool decodeReply(const serial::Envelope &Env, uint64_t &CallId,
+                   ErrorOr<Bytes> &Result) const;
 
   /// Builds the final wire buffer for a message body: kind byte, envelope
   /// and (for HTTP stacks) the header, emitted into one reserved buffer.
-  Bytes frame(MsgKind Kind, std::string_view EnvelopeName, const Bytes &Body,
-              bool Response) const;
+  Bytes frame(MsgKind Kind, std::string_view EnvelopeName,
+              const Bytes &Body) const;
   /// Strips transport framing; returns a view of the (kind, envelope)
   /// content inside \p Wire -- headers are parsed in place, nothing is
   /// copied.  The view is valid as long as \p Wire is.
   ErrorOr<std::span<const uint8_t>> unframe(const Bytes &Wire) const;
+  /// unframe() plus the envelope after the kind byte: how every handler
+  /// opens the frame the dispatch loop classified.
+  ErrorOr<serial::Envelope> openFrame(const Bytes &Wire) const;
+
+  /// A sent call's id, causal context and issue time (after any connect).
+  struct Issued {
+    uint64_t CallId, Ctx;
+    int64_t AtNs;
+  };
+  /// The one issue path under call() and callOneWay(): connect, encode,
+  /// stats, spans, side cost and NIC send for \p C.
+  sim::Task<Issued> issue(int DstNode, int DstPort, CallBody C);
 
   /// One two-way call awaiting its reply: the promise plus the causal id
   /// minted at issue (so the reply links back into the DAG).
@@ -369,28 +417,15 @@ private:
   /// (the rpc.dispatch_queue span start; 0 on untraced runs).
   sim::Task<void> handleCall(net::Message Msg, int64_t RecvNs);
   sim::Task<void> handleCallInner(net::Message Msg, int64_t RecvNs);
-  void handleReturn(std::span<const uint8_t> Content, int64_t RecvNs,
-                    uint64_t WireCtx);
+  void handleReturn(const Bytes &Wire, int64_t RecvNs, uint64_t WireCtx);
 
-  /// A call held back by a park (or replayed to a moved object): the
-  /// parsed body fields needed to rebuild an equivalent frame.
-  struct ParkedCall {
-    uint64_t CallId = 0;
-    uint8_t Flags = 0;
-    uint64_t WireCtx = 0, WireParent = 0;
-    uint64_t DedupId = 0;
-    int32_t ReplyNode = 0, ReplyPort = 0;
-    std::string Method;
-    Bytes Args;
-  };
+  /// Retargets \p C at \p Route's object name, re-encodes it and hands it
+  /// to the NIC towards Route.Node (the loopback when that is this node).
+  void forwardCall(CallBody &C, const MovedRoute &Route);
 
-  /// Rebuilds \p P's frame under \p Route's object name and hands it to
-  /// the NIC towards Route.Node (the loopback when that is this node).
-  void forwardCall(const ParkedCall &P, const MovedRoute &Route);
-
-  /// Runs on the dispatch path for an overload rejection: re-parses the
-  /// minimal body prefix and answers StatusOverloaded (or sheds a
-  /// one-way call).  Deterministic: the hint is pure backlog arithmetic.
+  /// Runs on the dispatch path for an overload rejection: decodes the body
+  /// prefix and answers StatusOverloaded (or sheds a one-way call).
+  /// Deterministic: the hint is pure backlog arithmetic.
   sim::Task<void> rejectOverloaded(net::Message Msg);
 
   ErrorOr<std::shared_ptr<CallHandler>> resolveTarget(const std::string &Name);
@@ -419,7 +454,7 @@ private:
   std::set<std::string> ParkedNames;
   /// FIFO of calls held per parked name, replayed at completeMove /
   /// cancelPark.
-  std::map<std::string, std::vector<ParkedCall>> ParkedByName;
+  std::map<std::string, std::vector<CallBody>> ParkedByName;
   /// Tombstones for names that migrated away: stragglers are forwarded.
   std::map<std::string, MovedRoute> Moved;
   /// Calls currently executing, per target name (migration drains these).
@@ -432,15 +467,11 @@ private:
   std::deque<uint64_t> TimedOutOrder;
   static constexpr size_t MaxTimedOutRemembered = 128;
   /// Server-side at-most-once window, keyed by the caller's identity plus
-  /// its logical-call id.  An entry is born in-progress when the first
-  /// attempt starts executing and caches the reply tail (everything after
-  /// the CallId) once done; FIFO-evicted.
-  struct DedupEntry {
-    bool Done = false;
-    Bytes ReplyTail;
-  };
+  /// its logical-call id.  An entry is born in progress (empty) when the
+  /// first attempt starts executing and caches its result once done, so a
+  /// retransmission's reply is re-encoded byte for byte; FIFO-evicted.
   using DedupKey = std::tuple<int32_t, int32_t, uint64_t>;
-  std::map<DedupKey, DedupEntry> DedupWindow;
+  std::map<DedupKey, std::optional<ErrorOr<Bytes>>> DedupWindow;
   std::deque<DedupKey> DedupOrder;
   static constexpr size_t DedupWindowCap = 256;
   /// Host restart hook that clears in-progress dedup entries (their

@@ -8,53 +8,62 @@
 
 #include "support/StringUtils.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 
 using namespace parcs;
 using namespace parcs::remoting;
 
-ErrorOr<ObjectUri> parcs::remoting::parseObjectUri(const std::string &Uri) {
-  ObjectUri Result;
-  std::string Rest;
-  if (startsWith(Uri, "tcp://")) {
-    Result.Channel = ChannelKind::Tcp;
-    Rest = Uri.substr(6);
-  } else if (startsWith(Uri, "http://")) {
-    Result.Channel = ChannelKind::Http;
-    Rest = Uri.substr(7);
-  } else {
-    return Error(ErrorCode::InvalidArgument,
-                 "uri must start with tcp:// or http://: " + Uri);
-  }
+namespace {
 
+/// Reads all of \p Text as a decimal in [\p Min, \p Max]; false on
+/// anything else (empty, trailing junk, out of range).
+bool parseDecimal(std::string_view Text, int Min, int Max, int &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End && Out >= Min && Out <= Max;
+}
+
+} // namespace
+
+ErrorOr<ObjectUri> parcs::remoting::parseUri(std::string_view Uri,
+                                             std::string_view Scheme,
+                                             int DefaultPort) {
+  auto Reject = [Uri](std::string_view Why) {
+    return Error(ErrorCode::InvalidArgument,
+                 std::string(Why) + ": " + std::string(Uri));
+  };
+  if (!startsWith(Uri, Scheme))
+    return Reject("uri must start with " + std::string(Scheme));
+  std::string_view Rest = Uri.substr(Scheme.size());
   size_t Slash = Rest.find('/');
-  if (Slash == std::string::npos || Slash + 1 >= Rest.size())
-    return Error(ErrorCode::InvalidArgument,
-                 "uri missing /objectName: " + Uri);
-  Result.Name = Rest.substr(Slash + 1);
-
-  std::string HostPort = Rest.substr(0, Slash);
-  size_t Colon = HostPort.find(':');
-  if (Colon == std::string::npos)
-    return Error(ErrorCode::InvalidArgument, "uri missing :port: " + Uri);
-  std::string Host = HostPort.substr(0, Colon);
-  std::string PortText = HostPort.substr(Colon + 1);
-  if (PortText.empty() ||
-      PortText.find_first_not_of("0123456789") != std::string::npos)
-    return Error(ErrorCode::InvalidArgument, "bad port in uri: " + Uri);
-  Result.Port = std::atoi(PortText.c_str());
-
-  if (Host == "localhost") {
-    Result.Node = 0;
-  } else if (startsWith(Host, "node")) {
-    std::string Id = Host.substr(4);
-    if (Id.empty() || Id.find_first_not_of("0123456789") != std::string::npos)
-      return Error(ErrorCode::InvalidArgument, "bad host in uri: " + Uri);
-    Result.Node = std::atoi(Id.c_str());
-  } else {
-    return Error(ErrorCode::InvalidArgument,
-                 "hosts are node<K> or localhost: " + Uri);
+  if (Slash == std::string_view::npos || Slash + 1 >= Rest.size())
+    return Reject("uri missing /objectName");
+  ObjectUri Result;
+  Result.Name = std::string(Rest.substr(Slash + 1));
+  std::string_view Host = Rest.substr(0, Slash);
+  size_t Colon = Host.find(':');
+  Result.Port = DefaultPort;
+  if (Colon != std::string_view::npos) {
+    if (!parseDecimal(Host.substr(Colon + 1), 1, 65535, Result.Port))
+      return Reject("bad port in uri");
+    Host = Host.substr(0, Colon);
+  } else if (DefaultPort == 0) {
+    return Reject("uri missing :port");
   }
+  if (Host == "localhost")
+    Result.Node = 0;
+  else if (!startsWith(Host, "node") ||
+           !parseDecimal(Host.substr(4), 0, INT_MAX, Result.Node))
+    return Reject("hosts are node<K> or localhost");
+  return Result;
+}
+
+ErrorOr<ObjectUri> parcs::remoting::parseObjectUri(const std::string &Uri) {
+  bool Http = startsWith(Uri, "http://");
+  ErrorOr<ObjectUri> Result = parseUri(Uri, Http ? "http://" : "tcp://");
+  if (Result && Http)
+    Result->Channel = ChannelKind::Http;
   return Result;
 }
 
@@ -76,5 +85,16 @@ ErrorOr<RemoteHandle> parcs::remoting::getObject(RpcEndpoint &Local,
   if (WantHttp != Local.profile().HttpFraming)
     return Error(ErrorCode::InvalidArgument,
                  "endpoint channel does not match uri channel: " + Uri);
-  return RemoteHandle(Local, Parsed->Node, Parsed->Port, Parsed->Name);
+  return connectHandle(Local, Parsed->Node, Parsed->Port,
+                       std::move(Parsed->Name));
+}
+
+ErrorOr<RemoteHandle> parcs::remoting::connectHandle(RpcEndpoint &Local,
+                                                     int Node, int Port,
+                                                     std::string Name) {
+  if (!Local.network().isBound(Node, Port))
+    return Error(ErrorCode::ConnectionFailed,
+                 "no endpoint at node" + std::to_string(Node) + ":" +
+                     std::to_string(Port) + " for '" + Name + "'");
+  return RemoteHandle(Local, Node, Port, std::move(Name));
 }

@@ -33,8 +33,15 @@ struct ObjectUri {
   std::string Name;
 };
 
-/// Parses "tcp://node<K>:<port>/<name>" or "http://...".  Hosts are the
-/// simulated cluster nodes, named node0..nodeN (plus "localhost" = node0).
+/// Parses "<Scheme>node<K>[:<port>]/<name>", \p Scheme being e.g.
+/// "tcp://".  Hosts are the simulated cluster nodes, node0..nodeN (plus
+/// "localhost" = node0); node ids must fit an int and ports 1..65535.  A
+/// URI without a port is rejected unless \p DefaultPort is non-zero.  The
+/// one URI parser: parseObjectUri and rmi::parseRmiUri wrap it.
+ErrorOr<ObjectUri> parseUri(std::string_view Uri, std::string_view Scheme,
+                            int DefaultPort = 0);
+
+/// Parses "tcp://node<K>:<port>/<name>" or "http://..." (port required).
 ErrorOr<ObjectUri> parseObjectUri(const std::string &Uri);
 
 /// Renders the canonical URI string for (channel, node, port, name).
@@ -103,6 +110,12 @@ private:
   int DstPort = 0;
   std::string Name;
 };
+
+/// A handle from \p Local to \p Name at (\p Node, \p Port), or
+/// ConnectionFailed when no endpoint is bound there (a node outside the
+/// cluster, a port nobody serves): checked once, when the handle is made.
+ErrorOr<RemoteHandle> connectHandle(RpcEndpoint &Local, int Node, int Port,
+                                    std::string Name);
 
 /// Obtains a handle to a remote well-known object from its URI, like
 /// Activator.GetObject(typeof(T), uri).

@@ -6,47 +6,13 @@
 
 #include "rmi/Rmi.h"
 
-#include "support/StringUtils.h"
 #include "vm/Calibration.h"
-
-#include <cstdlib>
 
 using namespace parcs;
 using namespace parcs::rmi;
 
 ErrorOr<RmiUri> parcs::rmi::parseRmiUri(const std::string &Uri) {
-  if (!startsWith(Uri, "rmi://"))
-    return Error(ErrorCode::InvalidArgument,
-                 "rmi uri must start with rmi://: " + Uri);
-  std::string Rest = Uri.substr(6);
-  size_t Slash = Rest.find('/');
-  if (Slash == std::string::npos || Slash + 1 >= Rest.size())
-    return Error(ErrorCode::InvalidArgument, "rmi uri missing /name: " + Uri);
-  RmiUri Result;
-  Result.Name = Rest.substr(Slash + 1);
-  std::string HostPort = Rest.substr(0, Slash);
-  size_t Colon = HostPort.find(':');
-  std::string Host =
-      Colon == std::string::npos ? HostPort : HostPort.substr(0, Colon);
-  if (Colon != std::string::npos) {
-    std::string PortText = HostPort.substr(Colon + 1);
-    if (PortText.empty() ||
-        PortText.find_first_not_of("0123456789") != std::string::npos)
-      return Error(ErrorCode::InvalidArgument, "bad rmi port: " + Uri);
-    Result.Port = std::atoi(PortText.c_str());
-  }
-  if (Host == "localhost") {
-    Result.Node = 0;
-  } else if (startsWith(Host, "node")) {
-    std::string Id = Host.substr(4);
-    if (Id.empty() || Id.find_first_not_of("0123456789") != std::string::npos)
-      return Error(ErrorCode::InvalidArgument, "bad rmi host: " + Uri);
-    Result.Node = std::atoi(Id.c_str());
-  } else {
-    return Error(ErrorCode::InvalidArgument,
-                 "rmi hosts are node<K> or localhost: " + Uri);
-  }
-  return Result;
+  return remoting::parseUri(Uri, "rmi://", RegistryPort);
 }
 
 sim::Task<ErrorOr<Bytes>> RegistryServer::handleCall(std::string_view Method,
@@ -100,7 +66,8 @@ namespace {
 
 /// Handle to the registry named in \p Uri.
 ErrorOr<RemoteHandle> registryHandle(RpcEndpoint &Local, const RmiUri &Uri) {
-  return RemoteHandle(Local, Uri.Node, Uri.Port, RegistryServer::ObjectName);
+  return remoting::connectHandle(Local, Uri.Node, Uri.Port,
+                                 RegistryServer::ObjectName);
 }
 
 } // namespace
@@ -154,7 +121,8 @@ sim::Task<ErrorOr<RemoteHandle>> Naming::lookup(RpcEndpoint &Local,
   ErrorOr<remoting::ObjectUri> Obj = remoting::parseObjectUri(*Target);
   if (!Obj)
     co_return Obj.error();
-  co_return RemoteHandle(Local, Obj->Node, Obj->Port, Obj->Name);
+  co_return remoting::connectHandle(Local, Obj->Node, Obj->Port,
+                                    std::move(Obj->Name));
 }
 
 sim::Task<ErrorOr<std::vector<std::string>>>

@@ -41,13 +41,9 @@ using UnicastRemoteObject = remoting::CallHandler;
 /// Default registry port, as in the JDK.
 inline constexpr int RegistryPort = 1099;
 
-/// A parsed "rmi://node<K>:<port>/<name>" URI.
-struct RmiUri {
-  int Node = 0;
-  int Port = RegistryPort;
-  std::string Name;
-};
-
+/// A parsed "rmi://node<K>[:<port>]/<name>" URI; the port defaults to
+/// RegistryPort (remoting::parseUri does the parsing).
+using RmiUri = remoting::ObjectUri;
 ErrorOr<RmiUri> parseRmiUri(const std::string &Uri);
 
 /// The registry server object (what `rmiregistry` runs): a string -> URI

@@ -126,6 +126,102 @@ TEST(RemotingRobustnessTest, BogusReturnForUnknownCallIdIsDropped) {
   EXPECT_TRUE(W.roundTrip());
 }
 
+/// A hand-built frame: kind byte plus a NetBinary envelope around \p Body.
+Bytes forgeFrame(uint8_t Kind, std::string_view Name,
+                 const serial::OutputArchive &Body) {
+  Bytes Wire{Kind};
+  serial::encodeEnvelopeInto(serial::WireFormat::NetBinary, Name, Body.bytes(),
+                             Wire);
+  return Wire;
+}
+
+/// A call body for "echo.echo" asking for its reply at (\p ReplyNode,
+/// \p ReplyPort).
+Bytes forgeCall(int32_t ReplyNode, int32_t ReplyPort) {
+  serial::OutputArchive Body;
+  Body.write(static_cast<uint64_t>(1)); // CallId.
+  Body.write(static_cast<uint8_t>(0));  // Flags: plain two-way call.
+  Body.write(ReplyNode);
+  Body.write(ReplyPort);
+  Body.write(std::string("echo"));
+  Body.write(std::string("echo"));
+  Body.write(static_cast<uint32_t>(0)); // No args.
+  return forgeFrame(0xC1, "echo", Body);
+}
+
+/// Leaves one client call pending (its target name is parked, so the
+/// server never answers), delivers the forged \p Reply for it --
+/// CallId 1, the client's first -- and returns what the caller saw.
+ErrorOr<Bytes> pendingCallGets(RobustWorld &W,
+                               const serial::OutputArchive &Reply) {
+  W.Server.parkName("echo");
+  ErrorOr<Bytes> Out(Bytes{});
+  struct Proc {
+    static Task<void> run(RobustWorld &W, ErrorOr<Bytes> &Out) {
+      Out = co_await W.Client.call(1, 1050, "echo", "echo", Bytes{});
+    }
+  };
+  W.sim().spawn(Proc::run(W, Out));
+  W.sim().run();
+  EXPECT_EQ(W.Server.parkedCalls("echo"), 1u);
+  W.Net.send(1, 0, 1050, forgeFrame(0xC2, "ret", Reply));
+  W.sim().run();
+  EXPECT_EQ(W.Client.stats().RepliesReceived, 1u);
+  return Out;
+}
+
+TEST(RemotingRobustnessTest, FaultReplyWithUnknownCodeIsMalformed) {
+  for (uint8_t Code : {uint8_t(0), uint8_t(200)}) {
+    RobustWorld W;
+    serial::OutputArchive Reply;
+    Reply.write(static_cast<uint64_t>(1)); // The pending CallId.
+    Reply.write(static_cast<uint8_t>(1));  // StatusFault.
+    Reply.write(Code);
+    Reply.write(std::string("forged"));
+    ErrorOr<Bytes> Out = pendingCallGets(W, Reply);
+    ASSERT_FALSE(Out.hasValue());
+    EXPECT_EQ(Out.error().code(), ErrorCode::MalformedMessage);
+    // Printing the error must not reach an unhandled code either.
+    EXPECT_FALSE(Out.error().str().empty());
+  }
+}
+
+TEST(RemotingRobustnessTest, TruncatedOverloadedReplyIsMalformed) {
+  RobustWorld W;
+  serial::OutputArchive Reply;
+  Reply.write(static_cast<uint64_t>(1)); // The pending CallId.
+  Reply.write(static_cast<uint8_t>(2));  // StatusOverloaded, hint missing.
+  ErrorOr<Bytes> Out = pendingCallGets(W, Reply);
+  ASSERT_FALSE(Out.hasValue());
+  EXPECT_EQ(Out.error().code(), ErrorCode::MalformedMessage);
+}
+
+TEST(RemotingRobustnessTest, CallWithReplyNodeOutsideClusterIsDropped) {
+  RobustWorld W;
+  W.Net.send(0, 1, 1050, forgeCall(/*ReplyNode=*/99, /*ReplyPort=*/1050));
+  W.Net.send(0, 1, 1050, forgeCall(/*ReplyNode=*/-1, /*ReplyPort=*/1050));
+  W.sim().run();
+  EXPECT_EQ(W.Server.stats().MalformedDropped, 2u);
+  EXPECT_EQ(W.Server.stats().WireBytesSent, 0u);
+  EXPECT_TRUE(W.roundTrip());
+}
+
+TEST(RemotingRobustnessTest, CallWithUnboundReplyPortIsDropped) {
+  RobustWorld W;
+  W.Net.send(0, 1, 1050, forgeCall(/*ReplyNode=*/0, /*ReplyPort=*/7));
+  W.sim().run();
+  EXPECT_EQ(W.Server.stats().MalformedDropped, 1u);
+  EXPECT_EQ(W.Server.stats().WireBytesSent, 0u);
+  // The same decoder guards calls a park holds for replay.
+  W.Server.parkName("echo");
+  W.Net.send(0, 1, 1050, forgeCall(/*ReplyNode=*/0, /*ReplyPort=*/7));
+  W.sim().run();
+  EXPECT_EQ(W.Server.stats().MalformedDropped, 2u);
+  EXPECT_EQ(W.Server.parkedCalls("echo"), 0u);
+  W.Server.cancelPark("echo");
+  EXPECT_TRUE(W.roundTrip());
+}
+
 TEST(RemotingRobustnessTest, WrongFormatTrafficIsRejected) {
   // A SOAP envelope arriving at a binary-formatter endpoint must not
   // crash or dispatch.

@@ -6,6 +6,8 @@
 
 #include "remoting/Engine.h"
 #include "remoting/Remoting.h"
+#include "serial/Crc32.h"
+#include "support/Trace.h"
 #include "vm/Cluster.h"
 
 #include <gtest/gtest.h>
@@ -91,6 +93,10 @@ TEST(UriTest, ParsesTcp) {
   EXPECT_EQ(U->Node, 2);
   EXPECT_EQ(U->Port, 1050);
   EXPECT_EQ(U->Name, "DivideServer");
+  auto Edge = parseObjectUri("tcp://node2147483647:65535/X");
+  ASSERT_TRUE(Edge);
+  EXPECT_EQ(Edge->Node, 2147483647);
+  EXPECT_EQ(Edge->Port, 65535);
 }
 
 TEST(UriTest, ParsesHttpAndLocalhost) {
@@ -108,6 +114,29 @@ TEST(UriTest, RejectsMalformed) {
   EXPECT_FALSE(parseObjectUri("tcp://node1:99").hasValue());
   EXPECT_FALSE(parseObjectUri("tcp://box:99/x").hasValue());
   EXPECT_FALSE(parseObjectUri("tcp://nodeX:99/x").hasValue());
+  // Node ids that overflow an int, and ports outside 1..65535.
+  EXPECT_FALSE(parseObjectUri("tcp://node4294967297:1050/X").hasValue());
+  EXPECT_FALSE(
+      parseObjectUri("tcp://node99999999999999999999:1050/X").hasValue());
+  EXPECT_FALSE(
+      parseObjectUri("tcp://node1:99999999999999999999/X").hasValue());
+  EXPECT_FALSE(parseObjectUri("tcp://node1:0/X").hasValue());
+  EXPECT_FALSE(parseObjectUri("http://node1:70000/X").hasValue());
+  EXPECT_FALSE(parseObjectUri("tcp://node-1:1050/X").hasValue());
+  EXPECT_FALSE(parseObjectUri("tcp://node1:-5/X").hasValue());
+}
+
+TEST(UriTest, GetObjectRefusesAddressesWithoutAnEndpoint) {
+  // Checked once, when the handle is made, so no invoke can send to a
+  // node outside the cluster or to a port nobody serves.
+  World W;
+  auto Outside = getObject(W.ep(0), "tcp://node5:1050/X");
+  ASSERT_FALSE(Outside);
+  EXPECT_EQ(Outside.error().code(), ErrorCode::ConnectionFailed);
+  auto Unbound = getObject(W.ep(0), "tcp://node1:7/X");
+  ASSERT_FALSE(Unbound);
+  EXPECT_EQ(Unbound.error().code(), ErrorCode::ConnectionFailed);
+  EXPECT_TRUE(getObject(W.ep(0), "tcp://node1:1050/X").hasValue());
 }
 
 TEST(UriTest, RoundTripsThroughMake) {
@@ -415,6 +444,157 @@ TEST(RemotingCalibrationTest, Mono105SlowerThan117) {
     W.sim().run();
   }
   EXPECT_GT(V105, 2.0 * V117);
+}
+
+//===----------------------------------------------------------------------===//
+// Wire pins
+//===----------------------------------------------------------------------===//
+
+/// Delivers every frame untouched and folds each payload it sees (its
+/// CRC32 and length, in delivery order) into one digest.  Installing it
+/// turns on the engine's CRC trailers; the CRC32 of a frame that ends in
+/// its own CRC is a constant, so each entry hashes the bytes before the
+/// trailer.
+class RecordingHook : public net::FaultHook {
+public:
+  bool nodeAlive(int) const override { return true; }
+  SimTime extraLatency(int, int) override { return SimTime(); }
+  Verdict onDeliver(int, int, std::vector<uint8_t> &Payload) override {
+    ++Frames;
+    serial::OutputArchive Entry(std::move(Seen));
+    Entry.write(serial::crc32(Payload.data(), Payload.size() - 4));
+    Entry.write(static_cast<uint32_t>(Payload.size()));
+    Seen = Entry.take();
+    return Verdict::Deliver;
+  }
+  uint32_t digest() const { return serial::crc32(Seen); }
+
+  uint64_t Frames = 0;
+
+private:
+  Bytes Seen;
+};
+
+struct WirePin {
+  uint64_t Frames = 0;
+  uint32_t Digest = 0;
+  uint64_t WireBytesSent = 0;
+};
+
+/// Every frame shape the engine emits, in a fixed order over three nodes:
+/// plain call, one-way, traced call (context flag), callReliable whose
+/// first reply arrives late (dedup id, then the cached reply), an
+/// unknown-object fault, an admission reject plus a one-way shed, and a
+/// parked call forwarded at completeMove plus a straggler forwarded off
+/// the moved tombstone.
+WirePin runWireScenario(StackKind Stack, bool Record) {
+  World W(Stack, 3);
+  RecordingHook Hook;
+  if (Record)
+    W.Net.setFaultHook(&Hook);
+  W.ep(1).publish("DivideServer",
+                  std::make_shared<DivideServer>(W.Machines.node(1)));
+  struct Proc {
+    static Task<void> call(RpcEndpoint &Ep, std::string Object,
+                           std::string Method, Bytes Args, int &Failures) {
+      ErrorOr<Bytes> Out = co_await Ep.call(1, 1050, std::move(Object),
+                                            std::move(Method), std::move(Args));
+      Failures += Out ? 0 : 1;
+    }
+    static Task<void> oneWay(RpcEndpoint &Ep, Bytes Args) {
+      co_await Ep.callOneWay(1, 1050, "DivideServer", "oneWayNote",
+                             std::move(Args));
+    }
+    static Task<void> reliable(RpcEndpoint &Ep, int &Failures) {
+      ErrorOr<Bytes> Out = co_await Ep.callReliable(
+          1, 1050, "DivideServer", "burn",
+          serial::encodeValues(static_cast<int64_t>(15)));
+      Failures += Out ? 0 : 1;
+    }
+  };
+  int Failures = 0;
+  Bytes Note = serial::encodeValues(static_cast<int32_t>(7));
+  Bytes Pair = serial::encodeValues(10.0, 4.0);
+  RpcEndpoint &Client = W.ep(0);
+
+  W.sim().spawn(Proc::call(Client, "DivideServer", "divide", Pair, Failures));
+  W.sim().run();
+  W.sim().spawn(Proc::oneWay(Client, Note));
+  W.sim().run();
+
+  trace::reset();
+  trace::setEnabled(true);
+  W.sim().spawn(Proc::call(Client, "DivideServer", "divide", Pair, Failures));
+  W.sim().run();
+  trace::setEnabled(false);
+  trace::reset();
+
+  RetryPolicy Retry;
+  Retry.MaxAttempts = 3;
+  Retry.AttemptTimeout = SimTime::milliseconds(10);
+  Retry.BaseBackoff = SimTime::milliseconds(20);
+  Client.setRetryPolicy(Retry);
+  W.sim().spawn(Proc::reliable(Client, Failures));
+  W.sim().run();
+
+  W.sim().spawn(Proc::call(Client, "NoSuchObject", "divide", Pair, Failures));
+  W.sim().run();
+
+  AdmissionPolicy Admission;
+  Admission.MaxPending = 1;
+  W.ep(1).setAdmissionPolicy(Admission);
+  Bytes Burn = serial::encodeValues(static_cast<int64_t>(1));
+  W.sim().spawn(Proc::call(Client, "DivideServer", "burn", Burn, Failures));
+  W.sim().spawn(Proc::call(Client, "DivideServer", "burn", Burn, Failures));
+  W.sim().spawn(Proc::oneWay(Client, Note));
+  W.sim().run();
+  W.ep(1).setAdmissionPolicy(AdmissionPolicy());
+
+  W.ep(1).parkName("DivideServer");
+  W.sim().spawn(Proc::call(Client, "DivideServer", "bump", {}, Failures));
+  W.sim().run();
+  W.ep(2).publish("Moved",
+                  std::make_shared<DivideServer>(W.Machines.node(2)));
+  W.ep(1).completeMove("DivideServer", {2, 1050, "Moved"});
+  W.sim().run();
+  W.sim().spawn(Proc::call(Client, "DivideServer", "bump", {}, Failures));
+  W.sim().run();
+
+  // The scenario reached every shape it is meant to pin: the fault and
+  // the admission reject are its only failed calls.
+  EXPECT_EQ(Failures, 2);
+  EXPECT_EQ(W.ep(1).stats().DedupHits, 1u);
+  EXPECT_EQ(W.ep(0).stats().LateReplies, 1u);
+  EXPECT_EQ(W.ep(1).stats().OverloadRejected, 1u);
+  EXPECT_EQ(W.ep(1).stats().OverloadShed, 1u);
+  EXPECT_EQ(W.ep(1).stats().CallsParked, 1u);
+  EXPECT_EQ(W.ep(1).stats().CallsForwarded, 2u);
+  EXPECT_EQ(W.ep(2).stats().CallsHandled, 2u);
+
+  WirePin Pin;
+  Pin.Frames = Hook.Frames;
+  Pin.Digest = Hook.digest();
+  for (int I = 0; I < 3; ++I)
+    Pin.WireBytesSent += W.ep(I).stats().WireBytesSent;
+  W.Net.setFaultHook(nullptr);
+  return Pin;
+}
+
+TEST(RemotingWireTest, FrameBytesArePinned) {
+  // Every frame byte (CRC trailers included) and the trailer-free byte
+  // totals: wire size drives virtual time, so none of these may move.
+  WirePin Tcp = runWireScenario(StackKind::MonoRemotingTcp117, true);
+  WirePin Http = runWireScenario(StackKind::MonoRemotingHttp117, true);
+  WirePin TcpPlain = runWireScenario(StackKind::MonoRemotingTcp117, false);
+  WirePin HttpPlain = runWireScenario(StackKind::MonoRemotingHttp117, false);
+  EXPECT_EQ(Tcp.Frames, 22u);
+  EXPECT_EQ(Tcp.Digest, 0xb3d15396u);
+  EXPECT_EQ(Tcp.WireBytesSent, 1357u);
+  EXPECT_EQ(TcpPlain.WireBytesSent, 1269u);
+  EXPECT_EQ(Http.Frames, 22u);
+  EXPECT_EQ(Http.Digest, 0x6e365963u);
+  EXPECT_EQ(Http.WireBytesSent, 10129u);
+  EXPECT_EQ(HttpPlain.WireBytesSent, 10041u);
 }
 
 //===----------------------------------------------------------------------===//

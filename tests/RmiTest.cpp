@@ -80,6 +80,42 @@ TEST(RmiUriTest, RejectsMalformed) {
   EXPECT_FALSE(parseRmiUri("rmi://node0:1").hasValue());
   EXPECT_FALSE(parseRmiUri("rmi://host:1/x").hasValue());
   EXPECT_FALSE(parseRmiUri("rmi://node0:9x/x").hasValue());
+  EXPECT_FALSE(parseRmiUri("rmi://node0:/x").hasValue());
+  EXPECT_FALSE(parseRmiUri("rmi://node99999999999999999999/x").hasValue());
+  EXPECT_FALSE(parseRmiUri("rmi://node4294967297:1099/x").hasValue());
+  EXPECT_FALSE(parseRmiUri("rmi://node0:0/x").hasValue());
+  EXPECT_FALSE(parseRmiUri("rmi://node0:70000/x").hasValue());
+}
+
+TEST(RmiUriTest, LookupRefusesRegistriesWithoutAnEndpoint) {
+  RmiWorld W;
+  struct Proc {
+    static Task<void> run(RmiWorld &W, ErrorOr<RemoteHandle> &Outside,
+                          ErrorOr<RemoteHandle> &Unbound,
+                          ErrorOr<RemoteHandle> &Ghost) {
+      Outside = co_await Naming::lookup(W.ep(0), "rmi://node5/Div");
+      Unbound = co_await Naming::lookup(W.ep(0), "rmi://node0:7/Div");
+      // A binding whose target names a node outside the cluster.
+      auto Registry = remoting::getObject(
+          W.ep(1), "tcp://node0:1099/" +
+                       std::string(RegistryServer::ObjectName));
+      EXPECT_TRUE(Registry.hasValue());
+      if (!Registry)
+        co_return;
+      ErrorOr<Unit> Bound = co_await Registry->invokeTyped<Unit>(
+          "rebind", std::string("Ghost"), std::string("tcp://node5:1099/Div"));
+      EXPECT_TRUE(Bound.hasValue());
+      Ghost = co_await Naming::lookup(W.ep(1), "rmi://node0/Ghost");
+    }
+  };
+  ErrorOr<RemoteHandle> Outside(RemoteHandle{}), Unbound(RemoteHandle{}),
+      Ghost(RemoteHandle{});
+  W.sim().spawn(Proc::run(W, Outside, Unbound, Ghost));
+  W.sim().run();
+  for (const ErrorOr<RemoteHandle> *Out : {&Outside, &Unbound, &Ghost}) {
+    ASSERT_FALSE(*Out);
+    EXPECT_EQ(Out->error().code(), ErrorCode::ConnectionFailed);
+  }
 }
 
 //===----------------------------------------------------------------------===//
