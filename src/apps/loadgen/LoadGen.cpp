@@ -109,7 +109,10 @@ sim::Task<void> generatorOn(scoopp::ScooppRuntime &Runtime, int Node,
   std::vector<std::unique_ptr<scoopp::ProxyBase>> Workers;
   for (const scoopp::ParallelRef &Ref : Fleet) {
     auto Proxy = std::make_unique<scoopp::ProxyBase>(Runtime, Node);
-    Proxy->bind("LoadWorker", Ref);
+    // The fleet's refs come from create() on serving nodes, so a refusal
+    // means a broken run: this generator then offers no load at all.
+    if (Proxy->bind("LoadWorker", Ref))
+      co_return;
     Workers.push_back(std::move(Proxy));
   }
 

@@ -190,16 +190,19 @@ assignBlocks(const RayJob &Job, int Workers) {
 }
 
 int nodesFor(const FarmConfig &Config) {
-  return (Config.Processors + Config.CoresPerNode - 1) / Config.CoresPerNode;
+  return (Config.Processors + calib::CoresPerNode - 1) / calib::CoresPerNode;
 }
 
 //===----------------------------------------------------------------------===//
 // ParC# farm
 //===----------------------------------------------------------------------===//
 
+/// Upper bound on re-render rounds for rows lost to worker crashes.
+constexpr int MaxRecoveryRounds = 3;
+
 sim::Task<void> scooppMaster(scoopp::ScooppRuntime &Runtime,
                              std::shared_ptr<const RayJob> Job, int Workers,
-                             int MaxRecoveryRounds, FarmResult &Out) {
+                             FarmResult &Out) {
   sim::Simulator &Sim = Runtime.sim();
   sim::SimTime Start = Sim.now();
   // The master drives everything from node 0; its phases get their own
@@ -361,10 +364,8 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
                                               FarmConfig Config,
                                               scoopp::GrainPolicy Grain) {
   assert(Config.Processors >= 1 && "need at least one processor");
-  vm::Cluster Machines(nodesFor(Config), Config.Vm, Config.CoresPerNode);
-  net::NetConfig NetCfg;
-  NetCfg.DropEveryNth = Config.Faults.DropEveryNth;
-  net::Network Net(Machines.sim(), Machines.nodeCount(), NetCfg);
+  vm::Cluster Machines(nodesFor(Config), Config.Vm);
+  net::Network Net(Machines.sim(), Machines.nodeCount());
   // The injector outlives the runtime teardown below; its destructor
   // detaches from the network before folding its counters.
   std::unique_ptr<fault::Injector> Chaos;
@@ -399,8 +400,7 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
   scoopp::ScooppRuntime Runtime(Machines, Net, std::move(Registry),
                                 ScooppCfg);
   FarmResult Out;
-  Machines.sim().spawn(scooppMaster(Runtime, Job, Config.Processors,
-                                    Config.MaxRecoveryRounds, Out));
+  Machines.sim().spawn(scooppMaster(Runtime, Job, Config.Processors, Out));
   Machines.sim().run();
   return Out;
 }
@@ -408,8 +408,7 @@ FarmResult parcs::apps::ray::runScooppRayFarm(std::shared_ptr<const RayJob> Job,
 FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
                                            FarmConfig Config) {
   assert(Config.Processors >= 1 && "need at least one processor");
-  vm::Cluster Machines(nodesFor(Config), vm::VmKind::SunJvm142,
-                       Config.CoresPerNode);
+  vm::Cluster Machines(nodesFor(Config), vm::VmKind::SunJvm142);
   net::Network Net(Machines.sim(), Machines.nodeCount());
   std::vector<std::unique_ptr<remoting::RpcEndpoint>> Endpoints;
   for (int I = 0; I < Machines.nodeCount(); ++I)
@@ -420,7 +419,7 @@ FarmResult parcs::apps::ray::runRmiRayFarm(std::shared_ptr<const RayJob> Job,
   // One worker per processor, two per dual-CPU node.
   std::vector<remoting::RemoteHandle> Workers;
   for (int W = 0; W < Config.Processors; ++W) {
-    int NodeId = W / Config.CoresPerNode;
+    int NodeId = W / calib::CoresPerNode;
     std::string Name = "worker" + std::to_string(W);
     Endpoints[static_cast<size_t>(NodeId)]->publish(
         Name, std::make_shared<RayWorkerHandler>(Machines.node(NodeId), Job,
@@ -500,10 +499,10 @@ FarmResult parcs::apps::ray::runMpiRayFarm(std::shared_ptr<const RayJob> Job,
                                            FarmConfig Config) {
   assert(Config.Processors >= 1 && "need at least one processor");
   int Ranks = Config.Processors + 1; // Master + workers.
-  int Nodes = (Ranks + Config.CoresPerNode - 1) / Config.CoresPerNode;
-  vm::Cluster Machines(Nodes, vm::VmKind::NativeCpp, Config.CoresPerNode);
+  int Nodes = (Ranks + calib::CoresPerNode - 1) / calib::CoresPerNode;
+  vm::Cluster Machines(Nodes, vm::VmKind::NativeCpp);
   net::Network Net(Machines.sim(), Nodes);
-  mpi::MpiWorld World(Machines, Net, Ranks, Config.CoresPerNode);
+  mpi::MpiWorld World(Machines, Net, Ranks, calib::CoresPerNode);
   FarmResult Out;
   World.launch([Job, &Out, Pool = Config.Pool](
                    mpi::MpiComm Comm) -> sim::Task<void> {

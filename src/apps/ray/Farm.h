@@ -125,9 +125,8 @@ void registerRayWorker(scoopp::ParallelClassRegistry &Registry,
 /// Farm run shared by both stacks; deterministic.
 struct FarmConfig {
   /// "Processors" on the paper's x-axis; workers = processors, two per
-  /// dual-CPU node.
+  /// dual-CPU node (calib::CoresPerNode).
   int Processors = 1;
-  int CoresPerNode = 2;
   /// Dispatch-pool worker cap per endpoint (0 = the VM's default; the
   /// Mono pool cap is what Section 4 blames for lost overlap).
   int DispatchWorkers = 0;
@@ -143,8 +142,6 @@ struct FarmConfig {
   /// from a 50ms window, doubling) is applied so the farm survives loss
   /// and crashes without starving long collect() calls.
   remoting::RetryPolicy Retry{};
-  /// Upper bound on re-render rounds for rows lost to worker crashes.
-  int MaxRecoveryRounds = 3;
   /// Host threads that render the workers' lines (null =
   /// HostPool::shared()).  No simulated result depends on its size.
   HostPool *Pool = nullptr;

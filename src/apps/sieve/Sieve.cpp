@@ -198,14 +198,16 @@ parcs::apps::sieve::runSievePipeline(scoopp::ScooppRuntime &Runtime,
     while (Cursor.valid()) {
       Tail = Cursor;
       PrimeFilterProxy Link(Runtime, HomeNode);
-      Link.bind(Class, Cursor);
+      if (Error E = Link.bind(Class, Cursor))
+        co_return E;
       ErrorOr<ParallelRef> NextRef = co_await Link.nextRef();
       if (!NextRef)
         co_return NextRef.error();
       Cursor = *NextRef;
     }
     PrimeFilterProxy TailProxy(Runtime, HomeNode);
-    TailProxy.bind(Class, Tail);
+    if (Error E = TailProxy.bind(Class, Tail))
+      co_return E;
     ErrorOr<bool> Done = co_await TailProxy.eosSeen();
     if (!Done)
       co_return Done.error();
@@ -219,7 +221,8 @@ parcs::apps::sieve::runSievePipeline(scoopp::ScooppRuntime &Runtime,
   ParallelRef Cursor = First.ref();
   while (Cursor.valid()) {
     PrimeFilterProxy Link(Runtime, HomeNode);
-    Link.bind(Class, Cursor);
+    if (Error E = Link.bind(Class, Cursor))
+      co_return E;
     ErrorOr<std::vector<int32_t>> Stored = co_await Link.primes();
     if (!Stored)
       co_return Stored.error();

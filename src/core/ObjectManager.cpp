@@ -20,6 +20,14 @@
 using namespace parcs;
 using namespace parcs::scoopp;
 
+namespace {
+
+/// Adaptive grain control treats a class as fine-grained once its average
+/// method execution time falls below this.
+constexpr sim::SimTime SmallGrainThreshold = sim::SimTime::microseconds(500);
+
+} // namespace
+
 bool ObjectManager::shouldAgglomerate(const std::string &ClassName) const {
   const GrainPolicy &Grain = Runtime.config().Grain;
   if (Grain.AgglomerateObjects)
@@ -32,7 +40,7 @@ bool ObjectManager::shouldAgglomerate(const std::string &ClassName) const {
   auto It = Grains.find(ClassName);
   if (It == Grains.end() || !It->second.hasData())
     return false;
-  return It->second.average() < Grain.SmallGrainThreshold;
+  return It->second.average() < SmallGrainThreshold;
 }
 
 int ObjectManager::aggregationFactor(const std::string &ClassName) const {
@@ -43,11 +51,11 @@ int ObjectManager::aggregationFactor(const std::string &ClassName) const {
   if (It == Grains.end() || !It->second.hasData())
     return 1;
   sim::SimTime Avg = It->second.average();
-  if (Avg >= Grain.SmallGrainThreshold)
+  if (Avg >= SmallGrainThreshold)
     return 1;
   // Pack enough calls that one packed message amortises to the threshold,
   // bounded by the configured maximum.
-  double Ratio = Grain.SmallGrainThreshold.toSecondsF() /
+  double Ratio = SmallGrainThreshold.toSecondsF() /
                  std::max(Avg.toSecondsF(), 1e-9);
   int Factor = static_cast<int>(std::ceil(Ratio));
   if (Factor < 1)

@@ -154,14 +154,24 @@ sim::Task<Error> ProxyBase::create(std::string ClassName) {
   co_return Error();
 }
 
-void ProxyBase::bind(std::string ClassName, ParallelRef ExistingRef) {
+Error ProxyBase::bind(std::string ClassName, ParallelRef ExistingRef) {
   assert(!Ref.valid() && "proxy already created/bound");
-  assert(ExistingRef.valid() && "binding to an invalid ref");
+  // A received reference may be forged or corrupt.  Check it once here,
+  // with the test remoting::connectHandle applies, so no call through
+  // this proxy can address a node or port without an endpoint.
+  if (!ExistingRef.valid() ||
+      !Runtime.endpoint(Home).network().isBound(ExistingRef.Node,
+                                                Runtime.config().Port))
+    return Error(ErrorCode::ConnectionFailed,
+                 "no parallel-object endpoint at node" +
+                     std::to_string(ExistingRef.Node) + " for '" +
+                     ExistingRef.Name + "'");
   Class = std::move(ClassName);
   Ref = std::move(ExistingRef);
   // A received reference addresses a foreign grain even when it happens
   // to live on this node, so dispatch stays asynchronous (loopback).
   Local = nullptr;
+  return Error();
 }
 
 sim::Task<void> ProxyBase::invokeAsync(std::string Method, Bytes Args) {

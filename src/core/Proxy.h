@@ -61,7 +61,9 @@ public:
 
   /// Attaches this proxy to an existing parallel object (a received
   /// ParallelRef).  Calls become remote unless the ref is home-hosted.
-  void bind(std::string ClassName, ParallelRef ExistingRef);
+  /// A ref naming no runtime endpoint (a node outside the cluster, say)
+  /// is refused with ConnectionFailed and leaves the proxy unbound.
+  [[nodiscard]] Error bind(std::string ClassName, ParallelRef ExistingRef);
 
   /// Asynchronous (void) method invocation; may be buffered for
   /// aggregation.  Completion of the returned task means "accepted", not

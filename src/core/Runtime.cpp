@@ -17,6 +17,10 @@ using namespace parcs::scoopp;
 
 namespace {
 
+/// Consecutive transport failures against one node before the runtime
+/// marks it down and steers placement away from it.
+constexpr int NodeFailureThreshold = 2;
+
 /// The per-node object factory of Fig. 6: instantiates IOs at request and
 /// returns their published names.  Registered in the "boot code of each
 /// node" (the runtime constructor).
@@ -189,7 +193,7 @@ void ScooppRuntime::noteCallOutcome(int Node, bool Ok) {
   }
   if (Down[Idx])
     return;
-  if (++FailStreak[Idx] >= Config.NodeFailureThreshold) {
+  if (++FailStreak[Idx] >= NodeFailureThreshold) {
     Down[Idx] = 1;
     metrics::add(Instruments.NodeDown, 1);
     trace::instant(Node, 0, "om.node_down",
@@ -222,7 +226,7 @@ bool ScooppRuntime::nodeSaturated(int Node) const {
   if (At < 0)
     return false;
   return Cluster.sim().now().nanosecondsCount() - At <=
-         Config.SaturationTtl.nanosecondsCount();
+         SaturationTtl.nanosecondsCount();
 }
 
 void ScooppRuntime::noteMigrated(const ParallelRef &From,

@@ -114,10 +114,10 @@ struct GrainPolicy {
   /// Statically force object agglomeration (all creations local).
   bool AgglomerateObjects = false;
   /// Enable run-time adaptation: classes whose average method execution
-  /// time falls below SmallGrainThreshold get their calls aggregated (up
-  /// to MaxCallsPerMessage) and new instances agglomerated.
+  /// time falls below 500 us (the object manager's SmallGrainThreshold)
+  /// get their calls aggregated (up to MaxCallsPerMessage) and new
+  /// instances agglomerated.
   bool Adaptive = false;
-  sim::SimTime SmallGrainThreshold = sim::SimTime::microseconds(500);
 };
 
 /// Runtime configuration.
@@ -133,18 +133,11 @@ struct ScooppConfig {
   /// leaves the fault-free event stream untouched).  Enable it when a
   /// FaultPlan is in play so proxies survive loss and crashes.
   remoting::RetryPolicy Retry;
-  /// Consecutive transport failures against one node before the runtime
-  /// marks it down and steers placement away from it.
-  int NodeFailureThreshold = 2;
   /// Admission budget installed on every endpoint (disabled by default:
   /// the fault-free wire bytes and event stream stay exactly legacy).
   /// Enable it under open-loop load so saturated nodes refuse work with a
   /// retry-after hint instead of queueing without bound.
   remoting::AdmissionPolicy Admission;
-  /// How long one Overloaded refusal keeps a node marked saturated for
-  /// placement purposes (virtual time, so the mark ages deterministically).
-  /// A successful call clears it early.
-  sim::SimTime SaturationTtl = sim::SimTime::milliseconds(2);
 };
 
 //===----------------------------------------------------------------------===//
@@ -263,9 +256,9 @@ public:
            Code == ErrorCode::ChecksumMismatch;
   }
 
-  /// False once \p Node accumulated NodeFailureThreshold consecutive
-  /// transport failures (and no success since); placement avoids
-  /// unhealthy nodes and proxies fail over.
+  /// False once \p Node accumulated two consecutive transport failures
+  /// (and no success since); placement avoids unhealthy nodes and
+  /// proxies fail over.
   bool nodeHealthy(int Node) const {
     return Node < 0 || Node >= static_cast<int>(Down.size()) || !Down[Node];
   }
@@ -284,6 +277,11 @@ public:
   /// away from it.  Distinct from noteCallOutcome -- an overloaded node is
   /// alive (it answered), just refusing work.
   void noteOverloaded(int Node);
+
+  /// How long one Overloaded refusal keeps a node marked saturated for
+  /// placement purposes (virtual time, so the mark ages deterministically).
+  /// A successful call clears it early.
+  static constexpr sim::SimTime SaturationTtl = sim::SimTime::milliseconds(2);
 
   /// True while \p Node is within SaturationTtl of its last Overloaded
   /// refusal (and no success against it since).  Placement and failover

@@ -31,15 +31,13 @@ class ScooppWorld {
 public:
   ScooppWorld(int Nodes, ParallelClassRegistry Registry,
               ScooppConfig Config = ScooppConfig(),
-              vm::VmKind Vm = vm::VmKind::MonoVm117, int CoresPerNode = 2,
-              net::NetConfig NetCfg = net::NetConfig())
-      : Machines(Nodes, Vm, CoresPerNode), Fabric(Machines.sim(), Nodes,
-                                                  NetCfg),
+              vm::VmKind Vm = vm::VmKind::MonoVm117)
+      : Machines(Nodes, Vm), Fabric(Machines.sim(), Nodes),
         Rts(Machines, Fabric, std::move(Registry), Config) {
     // Live telemetry rides in-band over the same fabric when the knob is
     // set; the flight recorder shadows it so chaos runs leave a dump.
     telemetry::TelemetrySpec Spec;
-    if (telemetry::envTelemetrySpec(Spec)) {
+    if (telemetry::envTelemetrySpec(Spec, Nodes)) {
       Telemetry = std::make_unique<telemetry::Plane>(Fabric, Spec);
       if (!Spec.Path.empty())
         Flight = std::make_unique<telemetry::FlightRecorder>(Spec.Path +

@@ -18,7 +18,7 @@
 /// seconds; 0 means "never"/"forever" where a bound is optional):
 ///
 ///   seed(N)                      PRNG seed for the random clauses
-///   dropnth(N)                   legacy NetConfig::DropEveryNth pattern
+///   dropnth(N)                   every Nth non-loopback delivery is lost
 ///   crash(node,at[,restartAt])   node crashes at `at`, optional restart
 ///   partition(a,b,from[,until])  messages between a and b are dropped
 ///   loss(p[,from[,until]])       each delivery lost with probability p
@@ -91,9 +91,9 @@ struct LatencyClause {
 struct FaultPlan {
   /// Seed for the loss/corruption draws; same seed, same faults.
   uint64_t Seed = 1;
-  /// Legacy deterministic pattern, applied as NetConfig::DropEveryNth by
-  /// whoever builds the network (kept as a plan clause for one-stop
-  /// configuration).
+  /// Deterministic loss pattern: when positive, every Nth non-loopback
+  /// delivery the Injector adjudicates is lost after occupying the wire
+  /// (counted as loss, drawing no random number).
   int DropEveryNth = 0;
   std::vector<CrashEvent> Crashes;
   std::vector<Partition> Partitions;

@@ -80,10 +80,17 @@ sim::SimTime Injector::extraLatency(int, int) {
 net::FaultHook::Verdict Injector::onDeliver(int Src, int Dst,
                                             std::vector<uint8_t> &Payload) {
   // Fixed adjudication order keeps the Rng draw sequence (and therefore
-  // the whole run) a pure function of the delivery sequence: structural
-  // checks first (no draws), then one draw per active loss clause, then
-  // one draw (plus one position draw on a hit) per active corruption
-  // clause.
+  // the whole run) a pure function of the delivery sequence: the dropnth
+  // pattern first, then structural checks (no draws), then one draw per
+  // active loss clause, then one draw (plus one position draw on a hit)
+  // per active corruption clause.  A dropnth drop ends adjudication
+  // before any draw, so the pattern never shifts the random stream.
+  ++Deliveries;
+  if (Plan.DropEveryNth > 0 &&
+      Deliveries % static_cast<uint64_t>(Plan.DropEveryNth) == 0) {
+    ++Stats.LossDropped;
+    return Verdict::DropLoss;
+  }
   if (!nodeAlive(Dst)) {
     ++Stats.NodeDownDropped;
     return Verdict::DropNodeDown;

@@ -7,8 +7,9 @@
 /// \file
 /// The Injector turns a FaultPlan into simulator events and implements the
 /// fabric's FaultHook: it schedules node crashes/restarts against the
-/// cluster and adjudicates every non-loopback delivery (partition drop,
-/// probabilistic loss, bit corruption, latency degradation).  All random
+/// cluster and adjudicates every non-loopback delivery (the dropnth
+/// pattern, partition drop, probabilistic loss, bit corruption, latency
+/// degradation) -- the one fault evaluator the fabric consults.  All random
 /// draws come from one support/Random stream seeded by the plan, and the
 /// single-threaded simulator serialises deliveries, so identical
 /// (plan, workload) pairs fault identically -- chaos runs replay
@@ -53,6 +54,7 @@ public:
   struct Counters {
     uint64_t Crashes = 0;
     uint64_t Restarts = 0;
+    /// dropnth and loss-clause drops alike.
     uint64_t LossDropped = 0;
     uint64_t PartitionDropped = 0;
     uint64_t NodeDownDropped = 0;
@@ -73,6 +75,8 @@ private:
   vm::Cluster *Cluster = nullptr;
   net::Network *Net = nullptr;
   Counters Stats;
+  /// Non-loopback deliveries adjudicated so far (the dropnth clock).
+  uint64_t Deliveries = 0;
 };
 
 } // namespace parcs::fault

@@ -26,11 +26,8 @@ Network::~Network() {
   Reg.gauge("net.peak_in_flight").noteMax(PeakInFlight);
 }
 
-Network::Network(sim::Simulator &Sim, int NodeCount, NetConfig Config)
-    : Sim(Sim), Config(Config) {
+Network::Network(sim::Simulator &Sim, int NodeCount) : Sim(Sim) {
   assert(NodeCount > 0 && "network needs at least one node");
-  assert(Config.LinkBitsPerSecond > 0 && "link rate must be positive");
-  assert(Config.MaxSegmentBytes > 0 && "MSS must be positive");
   Nics.reserve(static_cast<size_t>(NodeCount));
   for (int I = 0; I < NodeCount; ++I)
     Nics.push_back(std::make_unique<Nic>(Sim));
@@ -49,23 +46,24 @@ bool Network::isBound(int NodeId, int Port) const {
 }
 
 sim::SimTime Network::packetTime(size_t Bytes) const {
-  double Seconds = static_cast<double>(Bytes) * 8.0 / Config.LinkBitsPerSecond;
+  double Seconds =
+      static_cast<double>(Bytes) * 8.0 / calib::LinkBitsPerSecond;
   return sim::SimTime::fromSecondsF(Seconds);
 }
 
 sim::SimTime Network::wireTime(size_t PayloadBytes) const {
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t Mss = static_cast<size_t>(calib::MaxSegmentBytes);
   size_t Packets = PayloadBytes == 0 ? 1 : (PayloadBytes + Mss - 1) / Mss;
   size_t TotalBytes =
-      PayloadBytes + Packets * static_cast<size_t>(Config.FrameOverheadBytes);
+      PayloadBytes + Packets * static_cast<size_t>(calib::FrameOverheadBytes);
   return packetTime(TotalBytes);
 }
 
 sim::SimTime Network::firstPacketTime(size_t PayloadBytes) const {
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t Mss = static_cast<size_t>(calib::MaxSegmentBytes);
   size_t FirstPayload = PayloadBytes < Mss ? PayloadBytes : Mss;
   return packetTime(FirstPayload +
-                    static_cast<size_t>(Config.FrameOverheadBytes));
+                    static_cast<size_t>(calib::FrameOverheadBytes));
 }
 
 void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
@@ -145,7 +143,7 @@ sim::Task<void> Network::transfer(Message Msg) {
   // reaches the receiver one packet time + switch latency after transmit
   // starts; later packets pipeline behind it).
   sim::SimTime RxStart = TxStart + firstPacketTime(Msg.Payload.size()) +
-                         Config.SwitchLatency;
+                         calib::SwitchLatency;
   if (Rx.RxFreeAt > RxStart)
     RxStart = Rx.RxFreeAt;
   sim::SimTime RxDone = RxStart + Wire;
@@ -160,11 +158,11 @@ sim::Task<void> Network::transfer(Message Msg) {
   if (RxDone > Sim.now())
     co_await Sim.delay(RxDone - Sim.now());
 
-  size_t Mss = static_cast<size_t>(Config.MaxSegmentBytes);
+  size_t Mss = static_cast<size_t>(calib::MaxSegmentBytes);
   size_t Packets =
       Msg.Payload.empty() ? 1 : (Msg.Payload.size() + Mss - 1) / Mss;
   WireBytes += Msg.Payload.size() +
-               Packets * static_cast<size_t>(Config.FrameOverheadBytes);
+               Packets * static_cast<size_t>(calib::FrameOverheadBytes);
   Frames += Packets;
 
   --InFlight;
@@ -179,18 +177,6 @@ sim::Task<void> Network::transfer(Message Msg) {
     trace::completeCtx(Msg.Src, 0, "net.wire", TxStart.nanosecondsCount(),
                        DoneNs - TxStart.nanosecondsCount(), WireCtx, QueueCtx);
     Msg.TraceCtx = WireCtx;
-  }
-
-  // Fault injection: the message occupied the wire but is lost before
-  // delivery.
-  ++TransferCount;
-  if (Config.DropEveryNth > 0 &&
-      TransferCount % static_cast<uint64_t>(Config.DropEveryNth) == 0) {
-    ++Dropped;
-    trace::instant(Msg.Dst, 0, "net.drop", Sim.now().nanosecondsCount());
-    LogNodeScope Scope(Msg.Dst);
-    PARCS_LOG(Debug, "net: dropped msg " << Msg.Id << " (fault injection)");
-    co_return;
   }
 
   // Seeded fault injection (src/fault): extra latency first, then the

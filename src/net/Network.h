@@ -55,18 +55,6 @@ struct Message {
   std::vector<uint8_t> Payload;
 };
 
-/// Fabric parameters; defaults reproduce the paper's testbed.
-struct NetConfig {
-  double LinkBitsPerSecond = calib::LinkBitsPerSecond;
-  int FrameOverheadBytes = calib::FrameOverheadBytes;
-  int MaxSegmentBytes = calib::MaxSegmentBytes;
-  sim::SimTime SwitchLatency = calib::SwitchLatency;
-  /// Fault injection: when positive, every Nth non-loopback message is
-  /// lost after occupying the wire (deterministic drop pattern).  Layers
-  /// above must cope (e.g. RPC call timeouts).
-  int DropEveryNth = 0;
-};
-
 /// Interface the fault-injection subsystem (src/fault) implements.  The
 /// fabric consults the installed hook at well-defined points; a null hook
 /// (the default) leaves the event stream and wire bytes exactly as before,
@@ -101,10 +89,13 @@ public:
                             std::vector<uint8_t> &Payload) = 0;
 };
 
-/// The switched-Ethernet fabric connecting \c NodeCount nodes.
+/// The switched-Ethernet fabric connecting \c NodeCount nodes.  Link
+/// rate, framing overhead, MSS and switch latency are the testbed's
+/// (vm/Calibration.h); every loss or delay beyond that comes from the
+/// installed FaultHook.
 class Network {
 public:
-  Network(sim::Simulator &Sim, int NodeCount, NetConfig Config = NetConfig());
+  Network(sim::Simulator &Sim, int NodeCount);
   Network(const Network &) = delete;
   Network &operator=(const Network &) = delete;
   /// Folds the fabric counters into the global metrics registry.
@@ -112,7 +103,6 @@ public:
 
   sim::Simulator &sim() { return Sim; }
   int nodeCount() const { return static_cast<int>(Nics.size()); }
-  const NetConfig &config() const { return Config; }
 
   /// Binds (node, port) and returns the delivery channel.  Binding twice
   /// returns the same channel.
@@ -142,8 +132,8 @@ public:
   uint64_t wireBytesCarried() const { return WireBytes; }
   uint64_t messagesDropped() const { return Dropped; }
   uint64_t framesCarried() const { return Frames; }
-  /// Subset of messagesDropped() caused by the fault hook (loss clauses,
-  /// partitions, dead nodes); DropEveryNth drops are not included.
+  /// Subset of messagesDropped() caused by the fault hook (dropnth and
+  /// loss clauses, partitions, dead nodes).
   uint64_t messagesFaultDropped() const { return FaultDropped; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook.  The
@@ -167,7 +157,6 @@ private:
   sim::SimTime packetTime(size_t Bytes) const;
 
   sim::Simulator &Sim;
-  NetConfig Config;
   std::vector<std::unique_ptr<Nic>> Nics;
   std::map<std::pair<int, int>, std::unique_ptr<sim::Channel<Message>>> Ports;
   uint64_t NextMessageId = 1;
@@ -176,7 +165,6 @@ private:
   uint64_t WireBytes = 0;
   uint64_t Dropped = 0;
   uint64_t FaultDropped = 0;
-  uint64_t TransferCount = 0;
   FaultHook *Hook = nullptr;
   /// Ethernet frames carried (packetised segments of non-loopback sends).
   uint64_t Frames = 0;

@@ -6,8 +6,9 @@
 
 #include "prof/Prof.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -58,181 +59,7 @@ SegClass parcs::prof::classify(const std::string &Name) {
   return SegClass::Compute;
 }
 
-//===----------------------------------------------------------------------===//
-// Minimal JSON parser -- just the subset trace::exportJson emits (objects,
-// arrays, strings, numbers, bools).  No exceptions; failures surface as a
-// false return.
-//===----------------------------------------------------------------------===//
-
 namespace {
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object } K = Kind::Null;
-  bool B = false;
-  double Num = 0;
-  std::string Str;
-  std::vector<JsonValue> Arr;
-  std::map<std::string, JsonValue> Obj;
-
-  const JsonValue *field(const std::string &Name) const {
-    auto It = Obj.find(Name);
-    return It == Obj.end() ? nullptr : &It->second;
-  }
-};
-
-class JsonParser {
-public:
-  explicit JsonParser(std::string_view Text) : Text(Text) {}
-
-  bool parse(JsonValue &Out) {
-    bool Ok = value(Out);
-    skipWs();
-    return Ok && Pos == Text.size();
-  }
-
-private:
-  std::string_view Text;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-  }
-  bool consume(char C) {
-    skipWs();
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view Word) {
-    if (Text.substr(Pos, Word.size()) != Word)
-      return false;
-    Pos += Word.size();
-    return true;
-  }
-
-  bool value(JsonValue &Out) {
-    skipWs();
-    if (Pos >= Text.size())
-      return false;
-    char C = Text[Pos];
-    if (C == '{')
-      return object(Out);
-    if (C == '[')
-      return array(Out);
-    if (C == '"') {
-      Out.K = JsonValue::Kind::String;
-      return string(Out.Str);
-    }
-    if (C == 't') {
-      Out.K = JsonValue::Kind::Bool;
-      Out.B = true;
-      return literal("true");
-    }
-    if (C == 'f') {
-      Out.K = JsonValue::Kind::Bool;
-      Out.B = false;
-      return literal("false");
-    }
-    if (C == 'n') {
-      Out.K = JsonValue::Kind::Null;
-      return literal("null");
-    }
-    return number(Out);
-  }
-
-  bool number(JsonValue &Out) {
-    size_t Start = Pos;
-    if (Pos < Text.size() && (Text[Pos] == '-' || Text[Pos] == '+'))
-      ++Pos;
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '-' || Text[Pos] == '+'))
-      ++Pos;
-    if (Pos == Start)
-      return false;
-    Out.K = JsonValue::Kind::Number;
-    Out.Num = std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                          nullptr);
-    return true;
-  }
-
-  bool string(std::string &Out) {
-    if (!consume('"'))
-      return false;
-    Out.clear();
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return true;
-      if (C == '\\') {
-        if (Pos >= Text.size())
-          return false;
-        char E = Text[Pos++];
-        switch (E) {
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case '"':
-        case '\\':
-        case '/':
-          Out += E;
-          break;
-        default:
-          Out += E; // Good enough for the names the exporter emits.
-        }
-        continue;
-      }
-      Out += C;
-    }
-    return false;
-  }
-
-  bool array(JsonValue &Out) {
-    Out.K = JsonValue::Kind::Array;
-    if (!consume('['))
-      return false;
-    if (consume(']'))
-      return true;
-    while (true) {
-      JsonValue Elem;
-      if (!value(Elem))
-        return false;
-      Out.Arr.push_back(std::move(Elem));
-      if (consume(','))
-        continue;
-      return consume(']');
-    }
-  }
-
-  bool object(JsonValue &Out) {
-    Out.K = JsonValue::Kind::Object;
-    if (!consume('{'))
-      return false;
-    if (consume('}'))
-      return true;
-    while (true) {
-      std::string Key;
-      skipWs();
-      if (!string(Key) || !consume(':'))
-        return false;
-      JsonValue Val;
-      if (!value(Val))
-        return false;
-      Out.Obj.emplace(std::move(Key), std::move(Val));
-      if (consume(','))
-        continue;
-      return consume('}');
-    }
-  }
-};
 
 /// ts/dur are exported as microseconds with ns resolution in the
 /// fraction; recover exact nanoseconds.
@@ -254,20 +81,20 @@ struct RawEvent {
 } // namespace
 
 ErrorOr<TraceData> parcs::prof::loadTrace(std::string_view Json) {
-  JsonValue Root;
-  if (!JsonParser(Json).parse(Root) || Root.K != JsonValue::Kind::Object)
+  json::Value Root;
+  if (!json::parse(Json, Root) || !Root.isObject())
     return Error(ErrorCode::MalformedMessage, "trace is not valid JSON");
-  const JsonValue *Events = Root.field("traceEvents");
-  if (!Events || Events->K != JsonValue::Kind::Array)
+  const json::Value *Events = Root.field("traceEvents");
+  if (!Events || !Events->isArray())
     return Error(ErrorCode::MalformedMessage, "trace has no traceEvents");
 
   std::vector<RawEvent> Raw;
   Raw.reserve(Events->Arr.size());
-  for (const JsonValue &Ev : Events->Arr) {
-    if (Ev.K != JsonValue::Kind::Object)
+  for (const json::Value &Ev : Events->Arr) {
+    if (!Ev.isObject())
       return Error(ErrorCode::MalformedMessage, "traceEvents entry not object");
-    const JsonValue *Ph = Ev.field("ph");
-    const JsonValue *Name = Ev.field("name");
+    const json::Value *Ph = Ev.field("ph");
+    const json::Value *Name = Ev.field("name");
     if (!Ph || !Name)
       return Error(ErrorCode::MalformedMessage, "event missing ph/name");
     if (Ph->Str == "M" || Ph->Str == "C")
@@ -275,20 +102,20 @@ ErrorOr<TraceData> parcs::prof::loadTrace(std::string_view Json) {
     RawEvent R;
     R.Name = Name->Str;
     R.Ph = Ph->Str;
-    if (const JsonValue *Pid = Ev.field("pid"))
+    if (const json::Value *Pid = Ev.field("pid"))
       R.Pid = static_cast<int>(Pid->Num);
-    if (const JsonValue *Ts = Ev.field("ts"))
+    if (const json::Value *Ts = Ev.field("ts"))
       R.TsNs = tsToNs(Ts->Num);
-    if (const JsonValue *Dur = Ev.field("dur"))
+    if (const json::Value *Dur = Ev.field("dur"))
       R.DurNs = tsToNs(Dur->Num);
-    if (const JsonValue *Id = Ev.field("id"))
+    if (const json::Value *Id = Ev.field("id"))
       R.Id = Id->Str;
-    if (const JsonValue *Args = Ev.field("args")) {
-      if (const JsonValue *Ctx = Args->field("ctx"))
+    if (const json::Value *Args = Ev.field("args")) {
+      if (const json::Value *Ctx = Args->field("ctx"))
         R.Ctx = static_cast<uint64_t>(Ctx->Num);
-      if (const JsonValue *Parent = Args->field("parent"))
+      if (const json::Value *Parent = Args->field("parent"))
         R.Parent = static_cast<uint64_t>(Parent->Num);
-      if (const JsonValue *Trunc = Args->field("truncated"))
+      if (const json::Value *Trunc = Args->field("truncated"))
         R.Truncated = Trunc->B;
     }
     Raw.push_back(std::move(R));

@@ -43,6 +43,18 @@ uint64_t callSpanId(int Node, int Port, uint64_t CallId) {
          (static_cast<uint64_t>(static_cast<uint32_t>(Port)) << 32) ^ CallId;
 }
 
+/// Seed of every endpoint's retry-jitter stream, before the endpoint's
+/// node:port is mixed in.
+constexpr uint64_t RetryJitterSeed = 0x7e57ab1eULL;
+/// callReliable's backoff grows by this factor per retry (exponential).
+constexpr double RetryBackoffFactor = 2.0;
+
+/// An admission refusal hints a retry-after of RetryAfterBaseNs per call
+/// past the budget, clamped to [RetryAfterBaseNs, RetryAfterMaxNs]:
+/// integer arithmetic on simulation state only, so hints replay exactly.
+constexpr int64_t RetryAfterBaseNs = 1'000'000;
+constexpr int64_t RetryAfterMaxNs = 50'000'000;
+
 void appendText(Bytes &Out, std::string_view Text) {
   Out.insert(Out.end(), Text.begin(), Text.end());
 }
@@ -516,6 +528,14 @@ void RpcEndpoint::noteTimedOut(uint64_t CallId) {
   TimedOutOrder.push_back(CallId);
 }
 
+void RpcEndpoint::setRetryPolicy(const RetryPolicy &Policy) {
+  Retry = Policy;
+  RetryRng.reseed(RetryJitterSeed ^
+                  (static_cast<uint64_t>(static_cast<uint32_t>(Host.id()))
+                   << 32) ^
+                  static_cast<uint64_t>(static_cast<uint32_t>(Port)));
+}
+
 sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
                                                     std::string ObjectName,
                                                     std::string Method,
@@ -591,7 +611,7 @@ sim::Task<ErrorOr<Bytes>> RpcEndpoint::callReliable(int DstNode, int DstPort,
         RetryRng.nextBelow(static_cast<uint64_t>(HalfNs) + 1)));
     sim::SimTime Wait = Backoff + Jitter;
     sim::SimTime Next = sim::SimTime::fromSecondsF(Backoff.toSecondsF() *
-                                                   Retry.BackoffFactor);
+                                                   RetryBackoffFactor);
     Backoff = Next < Retry.MaxBackoff ? Next : Retry.MaxBackoff;
     if (Retry.TimeoutFactor > 1.0) {
       sim::SimTime Grown = sim::SimTime::fromSecondsF(
@@ -655,7 +675,7 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
       int64_t RecvNs = Host.sim().now().nanosecondsCount();
       if (!co_await Host.computeChecked(sideCost(Msg.Payload.size())))
         continue;
-      handleReturn(Msg.Payload, RecvNs, Msg.TraceCtx);
+      handleReturn(*Content, RecvNs, Msg.TraceCtx);
       continue;
     }
     if (Kind == KindCall) {
@@ -698,9 +718,12 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
   }
 }
 
-void RpcEndpoint::handleReturn(const Bytes &Wire, int64_t RecvNs,
-                               uint64_t WireCtx) {
-  ErrorOr<serial::Envelope> Env = openFrame(Wire);
+void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
+                               int64_t RecvNs, uint64_t WireCtx) {
+  // The dispatch loop already unframed the reply (checksum, HTTP header)
+  // to read its kind byte; decode the envelope after it in place.
+  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
+      Profile.Format, Content.data() + 1, Content.size() - 1);
   uint64_t CallId = 0;
   ErrorOr<Bytes> Result(Bytes{});
   if (!Env || !decodeReply(*Env, CallId, Result)) {
@@ -763,13 +786,11 @@ sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
   // a burst of rejected callers over time instead of re-synchronising
   // them onto one future instant.
   size_t Overflow = AdmittedBacklog - Admission.MaxPending + 1;
-  int64_t BaseNs = Admission.RetryAfterBase.nanosecondsCount();
-  int64_t MaxNs = Admission.RetryAfterMax.nanosecondsCount();
-  int64_t HintNs = BaseNs * static_cast<int64_t>(Overflow);
-  if (HintNs < BaseNs)
-    HintNs = BaseNs;
-  if (MaxNs > 0 && HintNs > MaxNs)
-    HintNs = MaxNs;
+  int64_t HintNs = RetryAfterBaseNs * static_cast<int64_t>(Overflow);
+  if (HintNs < RetryAfterBaseNs)
+    HintNs = RetryAfterBaseNs;
+  if (HintNs > RetryAfterMaxNs)
+    HintNs = RetryAfterMaxNs;
   Bytes Wire =
       encodeReply(C.CallId, /*Result=*/nullptr, static_cast<uint64_t>(HintNs));
   // computeChecked: a crash mid-rejection must not park the dispatch loop.

@@ -119,12 +119,10 @@ struct RetryPolicy {
   /// once the original execution finishes.
   double TimeoutFactor = 1.0;
   sim::SimTime MaxAttemptTimeout;
+  /// Backoff before the first retry; it doubles per retry up to
+  /// MaxBackoff.
   sim::SimTime BaseBackoff = sim::SimTime::milliseconds(2);
-  double BackoffFactor = 2.0;
   sim::SimTime MaxBackoff = sim::SimTime::milliseconds(200);
-  /// Seed for the jitter stream; mixed with the endpoint's (node, port)
-  /// so endpoints don't retry in lockstep.
-  uint64_t JitterSeed = 0x7e57ab1eULL;
   /// How many StatusOverloaded rejections one logical call absorbs before
   /// callReliable() gives up with ErrorCode::Overloaded.  Rejections wait
   /// out the server's retry-after hint instead of burning MaxAttempts:
@@ -147,13 +145,9 @@ struct RetryPolicy {
 /// event streams are exactly the legacy ones.
 struct AdmissionPolicy {
   /// Calls admitted concurrently (queued + executing).  0 disables.
+  /// The refusal's retry-after hint grows with how deep past this budget
+  /// the arrival lands (see RpcEndpoint::rejectOverloaded).
   size_t MaxPending = 0;
-  /// Retry-after hint = clamp(RetryAfterBase * overflow, RetryAfterBase,
-  /// RetryAfterMax), where overflow = backlog - MaxPending + 1: the deeper
-  /// past budget the arrival, the further out it is pushed.  Integer
-  /// arithmetic on simulation state only -- the hint replays exactly.
-  sim::SimTime RetryAfterBase = sim::SimTime::milliseconds(1);
-  sim::SimTime RetryAfterMax = sim::SimTime::milliseconds(50);
 
   bool enabled() const { return MaxPending > 0; }
 };
@@ -248,14 +242,9 @@ public:
                                          uint64_t ParentCtx = 0);
 
   /// Installs the retry policy used by callReliable() and reseeds the
-  /// jitter stream (mixed with this endpoint's node:port).
-  void setRetryPolicy(const RetryPolicy &Policy) {
-    Retry = Policy;
-    RetryRng.reseed(Policy.JitterSeed ^
-                    (static_cast<uint64_t>(static_cast<uint32_t>(Host.id()))
-                     << 32) ^
-                    static_cast<uint64_t>(static_cast<uint32_t>(Port)));
-  }
+  /// jitter stream (mixed with this endpoint's node:port, so endpoints
+  /// don't retry in lockstep).
+  void setRetryPolicy(const RetryPolicy &Policy);
   const RetryPolicy &retryPolicy() const { return Retry; }
 
   /// Installs the admission budget consulted by the dispatch loop.  The
@@ -388,8 +377,8 @@ private:
   /// content inside \p Wire -- headers are parsed in place, nothing is
   /// copied.  The view is valid as long as \p Wire is.
   ErrorOr<std::span<const uint8_t>> unframe(const Bytes &Wire) const;
-  /// unframe() plus the envelope after the kind byte: how every handler
-  /// opens the frame the dispatch loop classified.
+  /// unframe() plus the envelope after the kind byte: how the call
+  /// handlers open the frame the dispatch loop classified.
   ErrorOr<serial::Envelope> openFrame(const Bytes &Wire) const;
 
   /// A sent call's id, causal context and issue time (after any connect).
@@ -417,7 +406,9 @@ private:
   /// (the rpc.dispatch_queue span start; 0 on untraced runs).
   sim::Task<void> handleCall(net::Message Msg, int64_t RecvNs);
   sim::Task<void> handleCallInner(net::Message Msg, int64_t RecvNs);
-  void handleReturn(const Bytes &Wire, int64_t RecvNs, uint64_t WireCtx);
+  /// \p Content is the unframed reply, kind byte first (see unframe()).
+  void handleReturn(std::span<const uint8_t> Content, int64_t RecvNs,
+                    uint64_t WireCtx);
 
   /// Retargets \p C at \p Route's object name, re-encodes it and hands it
   /// to the NIC towards Route.Node (the loopback when that is this node).

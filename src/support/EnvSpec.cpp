@@ -6,6 +6,8 @@
 
 #include "support/EnvSpec.h"
 
+#include <limits>
+
 namespace parcs::envspec {
 
 namespace {
@@ -61,7 +63,10 @@ bool parseUint(std::string_view Digits, uint64_t &Out) {
   for (char C : Digits) {
     if (C < '0' || C > '9')
       return false;
-    Value = Value * 10 + uint64_t(C - '0');
+    uint64_t Digit = uint64_t(C - '0');
+    if (Value > (std::numeric_limits<uint64_t>::max() - Digit) / 10)
+      return false;
+    Value = Value * 10 + Digit;
   }
   Out = Value;
   return true;
@@ -83,7 +88,8 @@ bool parseDurationNs(std::string_view Text, int64_t &Out) {
     Text.remove_suffix(1);
   }
   uint64_t Magnitude = 0;
-  if (!parseUint(Text, Magnitude))
+  if (!parseUint(Text, Magnitude) ||
+      Magnitude > uint64_t(std::numeric_limits<int64_t>::max() / Scale))
     return false;
   Out = int64_t(Magnitude) * Scale;
   return true;

@@ -47,12 +47,15 @@ struct Option {
 bool split(std::string_view Spec, std::string_view &Path,
            std::vector<Option> &Opts, std::string *BadToken = nullptr);
 
-/// Parses a non-empty all-digits decimal into \p Out.
+/// Parses a non-empty all-digits decimal into \p Out.  False (leaving
+/// \p Out untouched) when the value does not fit in 64 bits.
 bool parseUint(std::string_view Digits, uint64_t &Out);
 
-/// Parses a duration with the fault-plan grammar's unit suffixes --
-/// "2ms", "1500us", "3s", "250ns" (integer magnitudes only) -- into
-/// nanoseconds.  A bare integer means nanoseconds.
+/// Parses an integer duration -- "2ms", "1500us", "3s", "250ns", or a
+/// bare integer meaning nanoseconds -- into nanoseconds.  No fractions.
+/// False when the nanosecond count does not fit in an int64_t.  (The
+/// fault-plan grammar differs: its bare numbers are seconds and it takes
+/// fractions.)
 bool parseDurationNs(std::string_view Text, int64_t &Out);
 
 } // namespace parcs::envspec

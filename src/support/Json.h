@@ -8,8 +8,9 @@
 /// The JSON string and number writers every exporter shares (metrics
 /// report, trace, telemetry, parcs-model, parcgen facts, parcs-lint), and
 /// a small recursive-descent reader for the offline consumers of those
-/// exports: parcs_top over telemetry exports, and the parcs-model ingester
-/// over bench sweeps, fitted-model files and telemetry exports.  The
+/// exports: parcs_top over telemetry exports, the parcs-model ingester
+/// over bench sweeps, fitted-model files and telemetry exports, and
+/// parcs-prof over trace exports.  The
 /// reader covers exactly what the writers emit -- objects, arrays,
 /// strings, numbers, bools, null; the common escapes and \u00XX for the
 /// control bytes appendString() escapes, but no other \uXXXX -- and is

@@ -44,7 +44,8 @@ bool parseTelemetrySpec(std::string_view SpecText, TelemetrySpec &Out,
           Spec.WindowNs <= 0)
         return Fail(O.Token);
     } else if (O.Key == "collector") {
-      if (!envspec::parseUint(O.Value, N))
+      if (!envspec::parseUint(O.Value, N) ||
+          N > uint64_t(std::numeric_limits<int>::max()))
         return Fail(O.Token);
       Spec.CollectorNode = int(N);
     } else if (O.Key == "port") {
@@ -67,17 +68,25 @@ bool parseTelemetrySpec(std::string_view SpecText, TelemetrySpec &Out,
   return true;
 }
 
-bool envTelemetrySpec(TelemetrySpec &Out) {
+bool envTelemetrySpec(TelemetrySpec &Out, int Nodes) {
   const char *Env = std::getenv("PARCS_TELEMETRY");
   if (!Env)
     return false;
   std::string BadToken;
-  if (parseTelemetrySpec(Env, Out, &BadToken))
-    return true;
+  std::string Why;
+  TelemetrySpec Spec;
+  if (parseTelemetrySpec(Env, Spec, &BadToken)) {
+    if (Spec.CollectorNode < Nodes) {
+      Out = std::move(Spec);
+      return true;
+    }
+    BadToken = "collector=" + std::to_string(Spec.CollectorNode);
+    Why = " (the cluster has " + std::to_string(Nodes) + " nodes)";
+  }
   std::fprintf(stderr,
                "[parcs:telemetry] ignoring malformed PARCS_TELEMETRY "
-               "\"%s\": bad token \"%s\"\n",
-               Env, BadToken.c_str());
+               "\"%s\": bad token \"%s\"%s\n",
+               Env, BadToken.c_str(), Why.c_str());
   return false;
 }
 

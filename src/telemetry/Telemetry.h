@@ -79,16 +79,19 @@ struct TelemetrySpec {
 };
 
 /// Parses "<path>[,window=dur][,collector=N][,port=N]
-/// [,slo=...]...".  Durations use the fault-plan grammar ("2ms", "50us",
-/// bare ns).  Returns false leaving \p Out untouched on malformation;
-/// \p BadToken (when non-null) receives the offending token.
+/// [,slo=...]...".  Durations are integers with an ns/us/ms/s suffix
+/// ("2ms", "50us"; a bare integer is nanoseconds) -- see
+/// envspec::parseDurationNs.  Numbers that overflow are malformed.
+/// Returns false leaving \p Out untouched on malformation; \p BadToken
+/// (when non-null) receives the offending token.
 bool parseTelemetrySpec(std::string_view Spec, TelemetrySpec &Out,
                         std::string *BadToken = nullptr);
 
-/// Reads PARCS_TELEMETRY.  Returns true and fills \p Out when the knob is
-/// set and well-formed; warns on stderr naming the bad token (and returns
-/// false) when set but malformed; silently returns false when unset.
-bool envTelemetrySpec(TelemetrySpec &Out);
+/// Reads PARCS_TELEMETRY for a cluster of \p Nodes nodes.  Returns true
+/// and fills \p Out when the knob is set, well-formed and names a
+/// collector inside the cluster; warns on stderr naming the bad token
+/// (and returns false) otherwise; silently returns false when unset.
+bool envTelemetrySpec(TelemetrySpec &Out, int Nodes);
 
 /// The telemetry plane: per-node agents + in-band collector + SLO engine.
 /// Construct after the fabric and before the workload runs; destroy (or

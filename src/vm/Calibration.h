@@ -171,6 +171,9 @@ inline constexpr SimTime ThreadPoolDispatch = SimTime::microseconds(15);
 /// Cost of creating a fresh thread (what the pool amortises away).
 inline constexpr SimTime ThreadCreateCost = SimTime::microseconds(250);
 
+/// CPUs per cluster node: the testbed's dual Athlon MP 1800+ machines.
+inline constexpr int CoresPerNode = 2;
+
 /// Scheduler time slice used for core sharing on a node (Linux 2.4/2.6 era
 /// default order of magnitude).
 inline constexpr SimTime SchedulerQuantum = SimTime::milliseconds(10);

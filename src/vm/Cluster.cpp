@@ -9,12 +9,12 @@
 using namespace parcs;
 using namespace parcs::vm;
 
-Cluster::Cluster(int NodeCount, VmKind Vm, int CoresPerNode)
+Cluster::Cluster(int NodeCount, VmKind Vm)
     : Sim(std::make_unique<sim::Simulator>()) {
   assert(NodeCount > 0 && "cluster needs at least one node");
   Nodes.reserve(static_cast<size_t>(NodeCount));
   for (int I = 0; I < NodeCount; ++I)
-    Nodes.push_back(std::make_unique<Node>(*Sim, I, Vm, CoresPerNode));
+    Nodes.push_back(std::make_unique<Node>(*Sim, I, Vm));
 }
 
 Cluster::~Cluster() {

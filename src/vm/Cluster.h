@@ -23,10 +23,11 @@
 
 namespace parcs::vm {
 
-/// A homogeneous cluster of nodes sharing one simulator.
+/// A homogeneous cluster of calib::CoresPerNode-core nodes sharing one
+/// simulator.
 class Cluster {
 public:
-  Cluster(int NodeCount, VmKind Vm, int CoresPerNode = 2);
+  Cluster(int NodeCount, VmKind Vm);
   ~Cluster();
   Cluster(const Cluster &) = delete;
   Cluster &operator=(const Cluster &) = delete;

@@ -30,7 +30,9 @@ sim::Task<void> Node::compute(sim::SimTime CpuTime) {
       --Runnable;
       co_await haltForever();
     }
-    sim::SimTime Slice = Remaining < Quantum ? Remaining : Quantum;
+    sim::SimTime Slice = Remaining < calib::SchedulerQuantum
+                             ? Remaining
+                             : calib::SchedulerQuantum;
     co_await Sim.delay(Slice);
     if (!Alive) {
       // Crashed mid-slice: the partial slice's work is lost, not billed.
@@ -63,7 +65,9 @@ sim::Task<bool> Node::computeChecked(sim::SimTime CpuTime) {
       --Runnable;
       co_return false;
     }
-    sim::SimTime Slice = Remaining < Quantum ? Remaining : Quantum;
+    sim::SimTime Slice = Remaining < calib::SchedulerQuantum
+                             ? Remaining
+                             : calib::SchedulerQuantum;
     co_await Sim.delay(Slice);
     if (!Alive) {
       CoreSlots.release();

@@ -32,12 +32,11 @@ namespace parcs::vm {
 /// round-robin), exactly reproducible.
 class Node {
 public:
-  Node(sim::Simulator &Sim, int Id, VmKind Vm, int Cores = 2,
-       sim::SimTime Quantum = calib::SchedulerQuantum)
+  Node(sim::Simulator &Sim, int Id, VmKind Vm,
+       int Cores = calib::CoresPerNode)
       : Sim(Sim), Id(Id), Vm(Vm), Model(vmCostModel(Vm)), Cores(Cores),
-        Quantum(Quantum), CoreSlots(Sim, Cores) {
+        CoreSlots(Sim, Cores) {
     assert(Cores > 0 && "node needs at least one core");
-    assert(Quantum > sim::SimTime() && "quantum must be positive");
   }
   Node(const Node &) = delete;
   Node &operator=(const Node &) = delete;
@@ -123,7 +122,6 @@ private:
   VmKind Vm;
   const VmCostModel &Model;
   int Cores;
-  sim::SimTime Quantum;
   sim::Semaphore CoreSlots;
   sim::SimTime Busy;
   int Runnable = 0;

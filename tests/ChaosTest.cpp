@@ -542,6 +542,31 @@ TEST(ChaosTest, ChaosFarmByteIdenticalAcrossPoolSizes) {
   EXPECT_EQ(TraceA, TraceB) << "trace exports must be byte-identical";
 }
 
+TEST(ChaosTest, DropNthFarmKeepsItsTimeAndChecksum) {
+  // Every 40th non-loopback delivery is lost.  With one line per render
+  // call, four messages drop and the master re-renders their rows.  The
+  // time, checksum and drop count were recorded when the fabric applied
+  // dropnth itself; the Injector must lose exactly the same messages.
+  auto Job = std::make_shared<apps::ray::RayJob>(*chaosJob());
+  Job->Width = 10;
+  Job->Height = 240;
+  Job->LinesPerTask = 1;
+  metrics::Registry &Reg = metrics::Registry::global();
+  Reg.reset();
+  apps::ray::FarmResult Farm = runChaosFarm(Job, "seed(7);dropnth(40)");
+  EXPECT_EQ(Farm.Elapsed.nanosecondsCount(), 1546510571);
+  EXPECT_EQ(Farm.Checksum, 0x67536914372752aaULL);
+  EXPECT_EQ(Farm.RowsRecovered, 4);
+  EXPECT_TRUE(Farm.Complete);
+  EXPECT_EQ(Farm.Checksum,
+            apps::ray::sequentialRender(*Job, vm::VmKind::SunJvm142).Checksum);
+  EXPECT_EQ(Reg.counter("net.messages_dropped").value(), 4u);
+  // The drops are the Injector's, counted as loss.
+  EXPECT_EQ(Reg.counter("net.messages_fault_dropped").value(), 4u);
+  EXPECT_EQ(Reg.counter("fault.loss_dropped").value(), 4u);
+  Reg.reset();
+}
+
 TEST(ChaosTest, FaultFreeFarmReportsNoRecovery) {
   auto Job = chaosJob();
   apps::ray::FarmConfig Config;

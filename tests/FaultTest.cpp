@@ -38,20 +38,24 @@ public:
   int Calls = 0;
 };
 
+/// Two Mono Tcp endpoints.  A positive \p DropEveryNth attaches an
+/// Injector running plan "dropnth(N)" (so frames carry the CRC trailer);
+/// zero leaves the fabric without a fault hook.
 struct FaultWorld {
   explicit FaultWorld(int DropEveryNth = 0)
-      : Machines(2, vm::VmKind::MonoVm117),
-        Net(Machines.sim(), 2, [DropEveryNth] {
-          net::NetConfig Config;
-          Config.DropEveryNth = DropEveryNth;
-          return Config;
-        }()),
+      : Machines(2, vm::VmKind::MonoVm117), Net(Machines.sim(), 2),
         Client(Machines.node(0), Net,
                stackProfile(StackKind::MonoRemotingTcp117), 1050),
         Server(Machines.node(1), Net,
                stackProfile(StackKind::MonoRemotingTcp117), 1050),
         Echo(std::make_shared<EchoHandler>()) {
     Server.publish("echo", Echo);
+    if (DropEveryNth > 0) {
+      fault::FaultPlan Plan;
+      Plan.DropEveryNth = DropEveryNth;
+      Drops = std::make_unique<fault::Injector>(sim(), Plan);
+      Drops->attach(Machines, Net);
+    }
   }
 
   Simulator &sim() { return Machines.sim(); }
@@ -61,6 +65,7 @@ struct FaultWorld {
   RpcEndpoint Client;
   RpcEndpoint Server;
   std::shared_ptr<EchoHandler> Echo;
+  std::unique_ptr<fault::Injector> Drops;
 };
 
 //===----------------------------------------------------------------------===//
@@ -343,6 +348,30 @@ TEST(FaultTest, DedupMakesRetriesAtMostOnce) {
   // The first reply's late arrival (it was dropped here, but in general)
   // must not have been misclassified.
   EXPECT_EQ(W.Client.stats().MalformedDropped, 0u);
+}
+
+TEST(FaultTest, DropNthIsAdjudicatedBeforeAnyDraw) {
+  // dropnth(2) loses every second delivery without consuming the random
+  // stream, so the deliveries it spares see exactly the loss draws of
+  // the same plan without dropnth.
+  ErrorOr<fault::FaultPlan> Both =
+      fault::FaultPlan::parse("seed(7);dropnth(2);loss(0.5)");
+  ErrorOr<fault::FaultPlan> LossOnly =
+      fault::FaultPlan::parse("seed(7);loss(0.5)");
+  ASSERT_TRUE(Both.hasValue() && LossOnly.hasValue());
+  Simulator Sim;
+  fault::Injector A(Sim, *Both);
+  fault::Injector B(Sim, *LossOnly);
+  std::vector<uint8_t> Payload(8);
+  for (int I = 1; I <= 40; ++I) {
+    net::FaultHook::Verdict V = A.onDeliver(0, 1, Payload);
+    if (I % 2 == 0)
+      EXPECT_EQ(V, net::FaultHook::Verdict::DropLoss) << "delivery " << I;
+    else
+      EXPECT_EQ(V, B.onDeliver(0, 1, Payload)) << "delivery " << I;
+  }
+  EXPECT_GT(B.counters().LossDropped, 0u);
+  EXPECT_EQ(A.counters().LossDropped, 20 + B.counters().LossDropped);
 }
 
 //===----------------------------------------------------------------------===//

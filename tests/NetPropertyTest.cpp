@@ -12,8 +12,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fault/Injector.h"
 #include "net/Network.h"
 #include "support/Random.h"
+#include "vm/Cluster.h"
 
 #include <cstdint>
 #include <vector>
@@ -72,12 +74,17 @@ struct TrafficLog {
   uint64_t Total = 0;
 };
 
+/// \p DropEveryNth > 0 injects plan "dropnth(N)" through a fault::Injector.
 TrafficLog runRandomTraffic(uint64_t Seed, int Nodes, int Messages,
                             int DropEveryNth = 0) {
-  Simulator Sim;
-  NetConfig Config;
-  Config.DropEveryNth = DropEveryNth;
-  Network Net(Sim, Nodes, Config);
+  vm::Cluster Machines(Nodes, vm::VmKind::NativeCpp);
+  Simulator &Sim = Machines.sim();
+  Network Net(Sim, Nodes);
+  fault::FaultPlan Plan;
+  Plan.DropEveryNth = DropEveryNth;
+  fault::Injector Drops(Sim, Plan);
+  if (DropEveryNth > 0)
+    Drops.attach(Machines, Net);
   TrafficLog Log;
 
   // One drain loop per node.

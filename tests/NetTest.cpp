@@ -95,7 +95,7 @@ TEST(NetworkTest, DeliveryTimeMatchesModel) {
   Net.send(0, 1, 50, bytes(1000));
   Sim.run();
   // Cut-through: first packet time + switch latency + full wire time.
-  SimTime Expected = Net.firstPacketTime(1000) + Net.config().SwitchLatency +
+  SimTime Expected = Net.firstPacketTime(1000) + calib::SwitchLatency +
                      Net.wireTime(1000);
   EXPECT_EQ(At, Expected);
 }

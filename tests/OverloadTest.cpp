@@ -329,7 +329,7 @@ TEST(BackpressureTest, SaturatedNodeSkippedUntilTtlExpires) {
         EXPECT_NE(P.ref().Node, 1) << "placement ignored saturation";
       }
       // Past the TTL the node is a candidate again.
-      co_await W.sim().delay(W.Runtime.config().SaturationTtl + ms(1));
+      co_await W.sim().delay(ScooppRuntime::SaturationTtl + ms(1));
       EXPECT_FALSE(W.Runtime.nodeSaturated(1));
       for (int I = 0; I < 4; ++I) {
         MigCounterProxy P(W.Runtime, 0);
@@ -401,7 +401,8 @@ TEST(MigrationTest, MovesStateAndReroutesExistingProxies) {
 
       // A proxy still holding the stale ref also resolves to the new home.
       MigCounterProxy Stale(W.Runtime, 0);
-      Stale.bind(MigCounterProxy::ClassName, ParallelRef{Src, Moved->Name});
+      EXPECT_FALSE(Stale.bind(MigCounterProxy::ClassName,
+                              ParallelRef{Src, Moved->Name}));
       auto Again = co_await Stale.sum();
       EXPECT_TRUE(Again.hasValue()) << Again.error().str();
       if (Again) {

@@ -151,7 +151,7 @@ TEST(ParcgenIntegrationTest, RefArgumentsRoundTrip) {
       // Bind a third proxy to B through the wire-transported ref and use
       // it.
       AccumulatorProxy C(W.Runtime, 2);
-      C.bind(AccumulatorProxy::ClassName, B.ref());
+      EXPECT_FALSE(C.bind(AccumulatorProxy::ClassName, B.ref()));
       co_await C.add(11);
       auto Total = co_await C.total();
       EXPECT_TRUE(Total.hasValue());

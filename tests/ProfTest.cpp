@@ -132,6 +132,24 @@ TEST(ProfLoadTest, OrphanAsyncHalvesAreTruncatedNodes) {
   EXPECT_EQ(T->Nodes[0].StartNs, T->Nodes[0].EndNs);
 }
 
+TEST(ProfLoadTest, ReadsBackControlBytesTheExporterEscapes) {
+  // The exporter writes a control byte in a name as \u00XX; the loader
+  // must read it back as that byte, not as the text "u0001".
+  const char *Name = "odd\x01"
+                     "name";
+  trace::reset();
+  trace::setEnabled(true);
+  trace::completeCtx(0, 0, Name, 100, 50, /*Ctx=*/5, /*Parent=*/0);
+  std::string Json = trace::exportJson();
+  trace::setEnabled(false);
+  trace::reset();
+  ASSERT_NE(Json.find("odd\\u0001name"), std::string::npos) << Json;
+  auto T = prof::loadTrace(Json);
+  ASSERT_TRUE(T.hasValue()) << T.error().str();
+  ASSERT_EQ(T->Nodes.size(), 1u);
+  EXPECT_EQ(T->Nodes[0].Name, Name);
+}
+
 TEST(ProfAnalyzeTest, WalksDeclaredParentsAndClassifies) {
   // send(100..150) -> wire(150..350) -> serve(350..450): contiguous chain.
   auto T = prof::loadTrace(traceJson({

@@ -432,7 +432,6 @@ TEST(ScooppAdaptiveTest, FineGrainClassGetsAggregated) {
   ScooppConfig Config;
   Config.Grain.Adaptive = true;
   Config.Grain.MaxCallsPerMessage = 32;
-  Config.Grain.SmallGrainThreshold = us(500);
   ScooppWorld W(Config);
   struct Proc {
     static Task<void> run(ScooppWorld &W) {
@@ -458,7 +457,6 @@ TEST(ScooppAdaptiveTest, CoarseGrainClassStaysUnaggregated) {
   ScooppConfig Config;
   Config.Grain.Adaptive = true;
   Config.Grain.MaxCallsPerMessage = 32;
-  Config.Grain.SmallGrainThreshold = us(500);
   ScooppWorld W(Config);
   struct Proc {
     static Task<void> run(ScooppWorld &W) {
@@ -504,7 +502,7 @@ TEST(ParallelRefTest, SecondProxySharesState) {
       ParallelRef Ref;
       EXPECT_TRUE(ParallelRef::fromBytes(Wire, Ref));
       CounterProxy B(W.Runtime, 2);
-      B.bind(CounterProxy::ClassName, Ref);
+      EXPECT_FALSE(B.bind(CounterProxy::ClassName, Ref));
       co_await B.add(2);
       Total = co_await B.total();
     }
@@ -513,6 +511,25 @@ TEST(ParallelRefTest, SecondProxySharesState) {
   W.sim().run();
   ASSERT_TRUE(Total.hasValue());
   EXPECT_EQ(*Total, 42);
+}
+
+TEST(ParallelRefTest, BindRefusesRefsWithoutAnEndpoint) {
+  // A ref travels as argument bytes, so it may be forged.  One naming
+  // node 99 of a 4-node runtime (or a negative node, or no name) is
+  // refused once, at bind, instead of the first call aborting in the
+  // fabric.
+  ScooppWorld W;
+  for (const ParallelRef &Sent : {ParallelRef{99, "io:Counter:1"},
+                                  ParallelRef{-2, "io:Counter:1"},
+                                  ParallelRef{1, ""}}) {
+    ParallelRef Got;
+    ASSERT_TRUE(ParallelRef::fromBytes(Sent.toBytes(), Got));
+    CounterProxy P(W.Runtime, 0);
+    Error E = P.bind(CounterProxy::ClassName, Got);
+    EXPECT_EQ(E.code(), ErrorCode::ConnectionFailed)
+        << "node " << Sent.Node << " name '" << Sent.Name << "'";
+    EXPECT_FALSE(P.created());
+  }
 }
 
 TEST(ParallelRefTest, BindKeepsAsyncDispatchEvenOnHostingNode) {
@@ -527,7 +544,7 @@ TEST(ParallelRefTest, BindKeepsAsyncDispatchEvenOnHostingNode) {
       (void)co_await A.create(); // Round robin from node 0 -> node 1.
       EXPECT_EQ(A.ref().Node, 1);
       CounterProxy B(W.Runtime, 1); // Home == hosting node.
-      B.bind(CounterProxy::ClassName, A.ref());
+      EXPECT_FALSE(B.bind(CounterProxy::ClassName, A.ref()));
       EXPECT_FALSE(B.isLocal());
       co_await B.add(4);
       Total = co_await B.total(); // Dispatches through loopback.
@@ -692,7 +709,7 @@ TEST(ScooppConcurrencyTest, ManyNodesHammerOneObjectWithoutLostUpdates) {
                           int32_t PerDriver) {
       co_await Ready.wait();
       CounterProxy P(W.Runtime, Home);
-      P.bind(CounterProxy::ClassName, Ref);
+      EXPECT_FALSE(P.bind(CounterProxy::ClassName, Ref));
       for (int32_t I = 1; I <= PerDriver; ++I)
         co_await P.add(I);
       co_await P.flush();
@@ -713,7 +730,7 @@ TEST(ScooppConcurrencyTest, ManyNodesHammerOneObjectWithoutLostUpdates) {
                           sim::WaitGroup &Done, ErrorOr<int32_t> &Total) {
       co_await Done.wait();
       CounterProxy P(W.Runtime, 0);
-      P.bind(CounterProxy::ClassName, Ref);
+      EXPECT_FALSE(P.bind(CounterProxy::ClassName, Ref));
       Total = co_await P.total();
     }
   };
@@ -742,7 +759,7 @@ TEST(ScooppDestroyTest, RemoteObjectIsDestroyed) {
       EXPECT_EQ(W.Runtime.om(HostNode).hostedObjects(), 0);
       // Stale references now fault.
       CounterProxy Stale(W.Runtime, 0);
-      Stale.bind(CounterProxy::ClassName, Victim);
+      EXPECT_FALSE(Stale.bind(CounterProxy::ClassName, Victim));
       auto Out = co_await Stale.total();
       EXPECT_FALSE(Out.hasValue());
       if (!Out) {
@@ -782,7 +799,7 @@ TEST(ScooppDestroyTest, DoubleDestroyFaults) {
       ParallelRef Victim = A.ref();
       EXPECT_FALSE(co_await A.destroy());
       CounterProxy B(W.Runtime, 0);
-      B.bind(CounterProxy::ClassName, Victim);
+      EXPECT_FALSE(B.bind(CounterProxy::ClassName, Victim));
       Error Second = co_await B.destroy();
       EXPECT_TRUE(Second);
       EXPECT_EQ(Second.code(), ErrorCode::UnknownObject);

@@ -18,6 +18,7 @@
 #include "remoting/Engine.h"
 #include "serial/Crc32.h"
 #include "serial/Archive.h"
+#include "support/EnvSpec.h"
 #include "support/Metrics.h"
 #include "support/Json.h"
 #include "support/PostMortem.h"
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -129,6 +131,32 @@ TEST(TelemetrySpecTest, NamesTheBadToken) {
   EXPECT_FALSE(telemetry::parseTelemetrySpec(
       "t.json,slo=slo(x, p99 < 2ms)", S, &Bad));
   EXPECT_EQ(Bad, "slo=slo(x, p99 < 2ms)");
+  // Numbers past their type's range: a port of 2^64 + 1 (not port 1), a
+  // collector of 2^32 (not node 0), 2e10 s (past int64 nanoseconds).
+  EXPECT_FALSE(telemetry::parseTelemetrySpec(
+      "t.json,port=18446744073709551617", S, &Bad));
+  EXPECT_EQ(Bad, "port=18446744073709551617");
+  EXPECT_FALSE(
+      telemetry::parseTelemetrySpec("t.json,collector=4294967296", S, &Bad));
+  EXPECT_EQ(Bad, "collector=4294967296");
+  EXPECT_FALSE(
+      telemetry::parseTelemetrySpec("t.json,window=20000000000s", S, &Bad));
+  EXPECT_EQ(Bad, "window=20000000000s");
+}
+
+TEST(EnvSpecTest, NumbersStopAtTheirTypeBounds) {
+  // The largest values that fit parse; one more is malformed, not wrapped.
+  uint64_t N = 0;
+  ASSERT_TRUE(envspec::parseUint("18446744073709551615", N));
+  EXPECT_EQ(N, UINT64_MAX);
+  EXPECT_FALSE(envspec::parseUint("18446744073709551616", N));
+  int64_t Ns = 0;
+  ASSERT_TRUE(envspec::parseDurationNs("9223372036s", Ns));
+  EXPECT_EQ(Ns, 9'223'372'036'000'000'000);
+  EXPECT_FALSE(envspec::parseDurationNs("9223372037s", Ns));
+  ASSERT_TRUE(envspec::parseDurationNs("9223372036854775807", Ns));
+  EXPECT_EQ(Ns, INT64_MAX);
+  EXPECT_FALSE(envspec::parseDurationNs("9223372036854775808ns", Ns));
 }
 
 //===----------------------------------------------------------------------===//

@@ -251,7 +251,7 @@ TEST(ThreadPoolTest, DefaultsToVmCap) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClusterTest, BuildsRequestedShape) {
-  Cluster C(3, VmKind::MonoVm117, 2);
+  Cluster C(3, VmKind::MonoVm117);
   EXPECT_EQ(C.nodeCount(), 3);
   EXPECT_EQ(C.node(0).cores(), 2);
   EXPECT_EQ(C.node(2).id(), 2);

@@ -18,6 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 using namespace parcs;
 using namespace parcs::scoopp;
 using namespace parcs::sim;
@@ -42,6 +46,37 @@ TEST(WorldTest, RunMainReportsElapsedVirtualTime) {
     co_await Runtime.sim().delay(SimTime::milliseconds(5));
   });
   EXPECT_EQ(Elapsed, SimTime::milliseconds(5));
+}
+
+TEST(WorldTest, TelemetryCollectorOutsideTheClusterIsSkipped) {
+  // A collector that is not a node of the world used to abort in the
+  // plane's constructor.  The world warns, naming the token, and runs
+  // without the plane; a collector inside the cluster still gets one.
+  std::string Path = testing::TempDir() + "world_telemetry.json";
+  auto runWith = [&](const std::string &Knob, bool &HasPlane) {
+    ::setenv("PARCS_TELEMETRY", Knob.c_str(), 1);
+    testing::internal::CaptureStderr();
+    {
+      ScooppWorld W(2, ParallelClassRegistry());
+      HasPlane = W.telemetryPlane() != nullptr;
+      SimTime Elapsed = W.runMain([](ScooppRuntime &Runtime) -> Task<void> {
+        co_await Runtime.sim().delay(SimTime::milliseconds(1));
+      });
+      EXPECT_EQ(Elapsed, SimTime::milliseconds(1));
+    }
+    ::unsetenv("PARCS_TELEMETRY");
+    return testing::internal::GetCapturedStderr();
+  };
+  bool HasPlane = true;
+  std::string Err = runWith(Path + ",collector=9", HasPlane);
+  EXPECT_FALSE(HasPlane);
+  EXPECT_NE(Err.find("bad token \"collector=9\""), std::string::npos) << Err;
+
+  Err = runWith(Path + ",collector=1", HasPlane);
+  EXPECT_TRUE(HasPlane);
+  EXPECT_EQ(Err, "");
+  std::remove(Path.c_str());
+  std::remove((Path + ".flight.json").c_str());
 }
 
 TEST(WorldTest, TwoApplicationsShareOneRuntime) {
