@@ -142,20 +142,12 @@ sim::Task<int> ObjectManager::placeObject(std::string ClassName) {
     for (int Peer = 0; Peer < Nodes; ++Peer) {
       if (Peer == NodeId || !Usable(Peer))
         continue;
-      remoting::RemoteHandle Handle(Runtime.endpoint(NodeId), Peer,
-                                    Runtime.config().Port,
-                                    ScooppRuntime::OmName);
-      ErrorOr<int32_t> Load =
-          co_await Handle.invokeTyped<int32_t>("getLoad");
-      if (!Load) {
-        if (ScooppRuntime::transportError(Load.error().code()))
-          Runtime.noteCallOutcome(Peer, false);
-        continue; // Unreachable peers are simply skipped.
-      }
-      Runtime.noteCallOutcome(Peer, true);
-      if (*Load < BestLoad || (*Load == BestLoad && Peer < Best)) {
+      // An unreachable peer reads as INT32_MAX, which never beats
+      // BestLoad (it starts at our own load), so it is simply skipped.
+      int Load = co_await probeLoad(Peer, INT32_MAX);
+      if (Load < BestLoad || (Load == BestLoad && Peer < Best)) {
         Best = Peer;
-        BestLoad = *Load;
+        BestLoad = Load;
       }
     }
     co_return Best;
@@ -291,15 +283,13 @@ sim::Task<ErrorOr<ParallelRef>> ObjectManager::migrate(std::string Name,
         Error(ErrorCode::MalformedMessage, "create_migrated reply"));
 
   // 5. Atomic cutover (no suspension): tombstone + parked-call replay,
-  //    unpublish the source copy, bump the URI route.  Stragglers that
-  //    raced the cutover hit the tombstone and are forwarded; proxies
-  //    refresh their refs through the route table on their next call.
+  //    then unpublish the source copy.  Stragglers that raced the cutover
+  //    hit the tombstone and are forwarded; proxies follow the same
+  //    tombstone (ScooppRuntime::resolveRoute) on their next call.
   RpcEndpoint &Src = Runtime.endpoint(NodeId);
   Src.completeMove(Name, RpcEndpoint::MovedRoute{
                              DstNode, Runtime.config().Port, NewName});
   Src.unpublish(Name);
-  Runtime.noteMigrated(ParallelRef{NodeId, Name},
-                       ParallelRef{DstNode, NewName});
   int64_t DoneNs = Runtime.sim().now().nanosecondsCount();
   metrics::add(Runtime.instruments().Migrations, 1, NodeId, DoneNs);
   trace::instant(NodeId, 0, "om.migrate.done", DoneNs);

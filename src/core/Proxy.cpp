@@ -54,13 +54,11 @@ void ProxyBase::recordCreateDecision(bool Agglomerated) {
 }
 
 remoting::RemoteHandle ProxyBase::remoteHandle() {
-  // Live migration moves objects underneath their proxies; the runtime's
-  // route table records each move, and the proxy absorbs the relocation
-  // here so subsequent calls go straight to the new home (stragglers that
+  // Live migration moves objects underneath their proxies; each move
+  // leaves a tombstone at the old home, and the proxy follows them here
+  // so subsequent calls go straight to the new home (stragglers that
   // raced a cutover are still forwarded by the source's tombstone).
-  ParallelRef Now = Runtime.resolveRoute(Ref);
-  if (!(Now == Ref))
-    Ref = std::move(Now);
+  Runtime.resolveRoute(Ref);
   return remoting::RemoteHandle(Runtime.endpoint(Home), Ref.Node,
                                 Runtime.config().Port, Ref.Name);
 }

@@ -229,20 +229,15 @@ bool ScooppRuntime::nodeSaturated(int Node) const {
          SaturationTtl.nanosecondsCount();
 }
 
-void ScooppRuntime::noteMigrated(const ParallelRef &From,
-                                 const ParallelRef &To) {
-  // Collapse chains: anything that already routed to From now routes
-  // straight to To, so resolveRoute stays a single lookup no matter how
-  // often an object moves.
-  for (auto &[Origin, Current] : Routes)
-    if (Current == From)
-      Current = To;
-  Routes[{From.Node, From.Name}] = To;
-}
-
-ParallelRef ScooppRuntime::resolveRoute(const ParallelRef &Ref) const {
-  auto It = Routes.find({Ref.Node, Ref.Name});
-  return It == Routes.end() ? Ref : It->second;
+void ScooppRuntime::resolveRoute(ParallelRef &Ref) {
+  // PARCS_HOT_BEGIN(proxy-route-walk): once per remote proxy call; one
+  // tombstone lookup, keyed by the ref's own name, per hop.
+  while (const RpcEndpoint::MovedRoute *Route =
+             endpoint(Ref.Node).movedRoute(Ref.Name)) {
+    Ref.Node = Route->Node;
+    Ref.Name = Route->Name;
+  }
+  // PARCS_HOT_END
 }
 
 RpcEndpoint &ScooppRuntime::endpoint(int Node) {

@@ -290,18 +290,15 @@ public:
   bool nodeSaturated(int Node) const;
 
   //===--------------------------------------------------------------------===//
-  // URI routes (live migration's location service)
+  // Object location (live migration's location service)
   //===--------------------------------------------------------------------===//
 
-  /// Records that the object published as \p From now lives at \p To
-  /// (called at migration cutover).  Existing chains through \p From are
-  /// collapsed so every lookup stays one hop.
-  void noteMigrated(const ParallelRef &From, const ParallelRef &To);
-
-  /// Follows the route table: the current home of \p Ref (identity when
-  /// it never migrated).  Proxies refresh their cached refs through this,
-  /// which is how callers never observe a move.
-  ParallelRef resolveRoute(const ParallelRef &Ref) const;
+  /// Moves \p Ref to its object's current home: while the endpoint on
+  /// Ref.Node has a moved tombstone for Ref.Name, step to where it points.
+  /// Every adoption mints a fresh name, so the walk ends.  Proxies refresh
+  /// their cached refs through this, which is how callers never observe a
+  /// move.
+  void resolveRoute(ParallelRef &Ref);
 
   /// Name under which each node's factory is published ("factory.soap" in
   /// the paper's Fig. 5/6).
@@ -324,8 +321,6 @@ private:
   /// Backpressure: sim time of the last Overloaded refusal per node
   /// (-1 = never / cleared by a success).
   std::vector<int64_t> SaturatedAtNs;
-  /// Migration route table: origin (node, name) -> current home.
-  std::map<std::pair<int, std::string>, ParallelRef> Routes;
   ScooppStats Stats;
   ScooppInstruments Instruments;
   Rng Random;

@@ -6,6 +6,7 @@
 
 #include "fault/FaultPlan.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,14 +46,16 @@ ErrorOr<double> parseDouble(std::string_view S) {
   return Value;
 }
 
-ErrorOr<int64_t> parseInt(std::string_view S) {
-  std::string Buf(S);
-  char *End = nullptr;
-  long long Value = std::strtoll(Buf.c_str(), &End, 10);
-  if (Buf.empty() || End != Buf.c_str() + Buf.size())
-    return Error(ErrorCode::ParseError,
-                 "fault plan: bad integer '" + Buf + "'");
-  return static_cast<int64_t>(Value);
+/// A decimal integer in the target field's range: 0 up to the largest
+/// \p T (every integer field is a count, a seed or a node id).  Junk, a
+/// sign, or a value past the range is a ParseError, never a wrapped number.
+template <typename T> ErrorOr<T> parseInt(std::string_view S) {
+  T Value{};
+  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), Value);
+  if (Ec != std::errc() || End != S.data() + S.size() || S.starts_with('-'))
+    return Error(ErrorCode::ParseError, "fault plan: '" + std::string(S) +
+                                            "' is not an integer in range");
+  return Value;
 }
 
 /// Times take s/ms/us/ns suffixes; bare numbers are seconds.
@@ -150,34 +153,30 @@ ErrorOr<FaultPlan> FaultPlan::parse(std::string_view Spec) {
     if (Name == "seed") {
       if (!wantArgs(1, 1))
         return Error(ErrorCode::ParseError, "fault plan: seed(N)");
-      ErrorOr<int64_t> N = parseInt(Args[0]);
+      ErrorOr<uint64_t> N = parseInt<uint64_t>(Args[0]);
       if (!N)
         return N.error();
-      Plan.Seed = static_cast<uint64_t>(*N);
+      Plan.Seed = *N;
     } else if (Name == "dropnth") {
       if (!wantArgs(1, 1))
         return Error(ErrorCode::ParseError, "fault plan: dropnth(N)");
-      ErrorOr<int64_t> N = parseInt(Args[0]);
+      ErrorOr<int> N = parseInt<int>(Args[0]);
       if (!N)
         return N.error();
-      if (*N < 0)
-        return Error(ErrorCode::ParseError, "fault plan: dropnth < 0");
-      Plan.DropEveryNth = static_cast<int>(*N);
+      Plan.DropEveryNth = *N;
     } else if (Name == "crash") {
       if (!wantArgs(2, 3))
         return Error(ErrorCode::ParseError,
                      "fault plan: crash(node,at[,restartAt])");
-      ErrorOr<int64_t> Node = parseInt(Args[0]);
+      ErrorOr<int> Node = parseInt<int>(Args[0]);
       if (!Node)
         return Node.error();
       ErrorOr<sim::SimTime> At = parseTime(Args[1]);
       if (!At)
         return At.error();
       CrashEvent C;
-      C.Node = static_cast<int>(*Node);
+      C.Node = *Node;
       C.At = *At;
-      if (C.Node < 0)
-        return Error(ErrorCode::ParseError, "fault plan: crash node < 0");
       if (Args.size() == 3) {
         ErrorOr<sim::SimTime> Restart = parseTime(Args[2]);
         if (!Restart)
@@ -192,21 +191,19 @@ ErrorOr<FaultPlan> FaultPlan::parse(std::string_view Spec) {
       if (!wantArgs(3, 4))
         return Error(ErrorCode::ParseError,
                      "fault plan: partition(a,b,from[,until])");
-      ErrorOr<int64_t> A = parseInt(Args[0]);
+      ErrorOr<int> A = parseInt<int>(Args[0]);
       if (!A)
         return A.error();
-      ErrorOr<int64_t> B = parseInt(Args[1]);
+      ErrorOr<int> B = parseInt<int>(Args[1]);
       if (!B)
         return B.error();
       ErrorOr<sim::SimTime> From = parseTime(Args[2]);
       if (!From)
         return From.error();
       Partition P;
-      P.NodeA = static_cast<int>(*A);
-      P.NodeB = static_cast<int>(*B);
+      P.NodeA = *A;
+      P.NodeB = *B;
       P.From = *From;
-      if (P.NodeA < 0 || P.NodeB < 0)
-        return Error(ErrorCode::ParseError, "fault plan: partition node < 0");
       if (Args.size() == 4) {
         ErrorOr<sim::SimTime> Until = parseTime(Args[3]);
         if (!Until)

@@ -15,7 +15,9 @@
 ///   seed(7);crash(2,40ms,120ms);loss(0.01);corrupt(0.005,10ms,50ms)
 ///
 /// Clause reference (times take s/ms/us/ns suffixes, bare numbers are
-/// seconds; 0 means "never"/"forever" where a bound is optional):
+/// seconds; 0 means "never"/"forever" where a bound is optional; integers
+/// must fit their field -- seed 0..2^64-1, dropnth and node ids
+/// 0..2^31-1 -- or the plan does not parse):
 ///
 ///   seed(N)                      PRNG seed for the random clauses
 ///   dropnth(N)                   every Nth non-loopback delivery is lost

@@ -18,7 +18,8 @@ FaultHook::~FaultHook() = default;
 Network::~Network() {
   metrics::Registry &Reg = metrics::Registry::global();
   Reg.counter("net.messages_delivered").add(Delivered);
-  Reg.counter("net.messages_dropped").add(Dropped);
+  // The fault hook is the only way to lose a message: both rows read it.
+  Reg.counter("net.messages_dropped").add(FaultDropped);
   Reg.counter("net.messages_fault_dropped").add(FaultDropped);
   Reg.counter("net.payload_bytes").add(PayloadBytes);
   Reg.counter("net.wire_bytes").add(WireBytes);
@@ -74,7 +75,6 @@ void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
   if (Hook && !Hook->nodeAlive(Src)) {
     // A crashed node's NIC blackholes: the send vanishes at the source
     // without occupying the wire.
-    ++Dropped;
     ++FaultDropped;
     return;
   }
@@ -96,7 +96,6 @@ void Network::send(int Src, int Dst, int Port, std::vector<uint8_t> Payload,
     auto Deliver = [this, Msg = std::move(Msg)]() mutable {
       if (Hook && !Hook->nodeAlive(Msg.Dst)) {
         // The node crashed between send and delivery.
-        ++Dropped;
         ++FaultDropped;
         return;
       }
@@ -188,7 +187,6 @@ sim::Task<void> Network::transfer(Message Msg) {
       co_await Sim.delay(Extra);
     FaultHook::Verdict V = Hook->onDeliver(Msg.Src, Msg.Dst, Msg.Payload);
     if (V != FaultHook::Verdict::Deliver) {
-      ++Dropped;
       ++FaultDropped;
       LogNodeScope Scope(Msg.Dst);
       PARCS_LOG(Debug, "net: fault-dropped msg " << Msg.Id << " ("

@@ -130,10 +130,9 @@ public:
   uint64_t messagesDelivered() const { return Delivered; }
   uint64_t payloadBytesDelivered() const { return PayloadBytes; }
   uint64_t wireBytesCarried() const { return WireBytes; }
-  uint64_t messagesDropped() const { return Dropped; }
   uint64_t framesCarried() const { return Frames; }
-  /// Subset of messagesDropped() caused by the fault hook (dropnth and
-  /// loss clauses, partitions, dead nodes).
+  /// Messages the fault hook dropped (dropnth and loss clauses,
+  /// partitions, dead nodes) -- the only way the fabric loses one.
   uint64_t messagesFaultDropped() const { return FaultDropped; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook.  The
@@ -163,7 +162,6 @@ private:
   uint64_t Delivered = 0;
   uint64_t PayloadBytes = 0;
   uint64_t WireBytes = 0;
-  uint64_t Dropped = 0;
   uint64_t FaultDropped = 0;
   FaultHook *Hook = nullptr;
   /// Ethernet frames carried (packetised segments of non-loopback sends).

@@ -12,6 +12,7 @@
 #include "support/Trace.h"
 
 #include <charconv>
+#include <utility>
 
 using namespace parcs;
 using namespace parcs::remoting;
@@ -152,11 +153,15 @@ RpcEndpoint::RpcEndpoint(vm::Node &Host, net::Network &Net,
     // calls die with the endpoint's volatile state (their callers' retries
     // re-execute them through the wiped dedup entries above), the park
     // itself lifts, and the executing-handler counts those dead coroutines
-    // held are settled.  Moved tombstones survive: they are routing
-    // knowledge, not in-flight state, and the destination copy is alive.
-    ParkedNames.clear();
-    ParkedByName.clear();
-    InFlightByName.clear();
+    // held are settled.  Registrations and moved tombstones survive: they
+    // are naming and routing knowledge, not in-flight state, and a moved
+    // object's destination copy is alive.
+    for (auto It = Names.begin(); It != Names.end();) {
+      It->second.Parked = false;
+      It->second.ParkedCalls.clear();
+      It->second.InFlight = 0;
+      It = It->second.empty() ? Names.erase(It) : std::next(It);
+    }
     // Queued pool items survived the crash and still decrement the
     // backlog as they run; the executing handlers' decrements died.
     AdmittedBacklog = Pool.queueDepth();
@@ -193,24 +198,24 @@ RpcEndpoint::~RpcEndpoint() {
 void RpcEndpoint::publish(const std::string &Name,
                           std::shared_ptr<CallHandler> Object) {
   assert(Object && "publishing a null object");
-  Registration Reg;
-  Reg.Mode = WellKnownObjectMode::Singleton;
-  Reg.Instance = std::move(Object);
-  Published[Name] = std::move(Reg);
+  Names[Name].Reg =
+      Registration{WellKnownObjectMode::Singleton, nullptr, std::move(Object)};
 }
 
 void RpcEndpoint::publishWellKnown(const std::string &Name,
                                    HandlerFactory Factory,
                                    WellKnownObjectMode Mode) {
   assert(Factory && "publishing a null factory");
-  Registration Reg;
-  Reg.Mode = Mode;
-  Reg.Factory = std::move(Factory);
-  Published[Name] = std::move(Reg);
+  Names[Name].Reg = Registration{Mode, std::move(Factory), nullptr};
 }
 
 bool RpcEndpoint::unpublish(const std::string &Name) {
-  return Published.erase(Name) != 0;
+  auto It = Names.find(Name);
+  if (It == Names.end() || !It->second.Reg)
+    return false;
+  It->second.Reg.reset();
+  eraseIfEmpty(It);
+  return true;
 }
 
 sim::SimTime RpcEndpoint::sideCost(size_t WireBytes) const {
@@ -296,15 +301,6 @@ ErrorOr<std::span<const uint8_t>> RpcEndpoint::unframe(const Bytes &Wire) const 
   if (BodyStart + Length > Size)
     return Error(ErrorCode::MalformedMessage, "http framing: short body");
   return std::span<const uint8_t>(Wire.data() + BodyStart, Length);
-}
-
-ErrorOr<serial::Envelope> RpcEndpoint::openFrame(const Bytes &Wire) const {
-  ErrorOr<std::span<const uint8_t>> Content = unframe(Wire);
-  if (!Content || Content->empty())
-    return Content ? Error(ErrorCode::MalformedMessage, "no kind byte")
-                   : Content.error();
-  return serial::decodeEnvelope(Profile.Format, Content->data() + 1,
-                                Content->size() - 1);
 }
 
 Bytes RpcEndpoint::encodeCall(const CallBody &C) {
@@ -411,24 +407,6 @@ bool RpcEndpoint::decodeReply(const serial::Envelope &Env, uint64_t &CallId,
 }
 
 // PARCS_HOT_END
-
-ErrorOr<std::shared_ptr<CallHandler>>
-RpcEndpoint::resolveTarget(const std::string &Name) {
-  auto It = Published.find(Name);
-  if (It == Published.end())
-    return Error(ErrorCode::UnknownObject,
-                 "no object published as '" + Name + "'");
-  Registration &Reg = It->second;
-  if (Reg.Mode == WellKnownObjectMode::SingleCall) {
-    // A fresh instance per call; no state is retained.
-    return Reg.Factory();
-  }
-  if (!Reg.Instance) {
-    assert(Reg.Factory && "singleton registration without factory");
-    Reg.Instance = Reg.Factory();
-  }
-  return Reg.Instance;
-}
 
 sim::Task<RpcEndpoint::Issued>
 RpcEndpoint::issue(int DstNode, int DstPort, CallBody C) {
@@ -643,7 +621,8 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
   for (;;) {
     net::Message Msg = co_await Inbox.recv();
     // parcs-lint: allow(suspension-ref): Content aliases Msg.Payload, which
-    // this frame owns and does not touch across the compute suspension.
+    // this frame owns and leaves untouched across the receive-cost and
+    // overload-rejection suspensions below.
     ErrorOr<std::span<const uint8_t>> Content = unframe(Msg.Payload);
     if (!Content || Content->empty()) {
       if (!Content &&
@@ -687,31 +666,29 @@ sim::Task<void> RpcEndpoint::dispatchLoop() {
         // rejected work costs a fixed-size reply rather than an unbounded
         // queue wait.  Handled inline on the dispatch path -- rejection
         // must not itself queue behind the congestion it polices.
-        co_await rejectOverloaded(std::move(Msg));
+        co_await rejectOverloaded(*Content);
         continue;
       }
       // PARCS_HOT_END
       // Calls are dispatched through the node's (bounded) thread pool;
-      // this is where Mono's small pool throttles overlap.
+      // this is where Mono's small pool throttles overlap.  The handler
+      // gets the verified frame with its content's place, so it opens the
+      // content in place and never checks the frame again.
       ++Stats.CallsHandled;
       ++AdmittedBacklog;
-      auto Self = this;
-      if (!trace::enabled()) {
-        // Untraced shape: [this + Message] fits the pool's inline work
-        // item exactly; keep it that way (the traced shape below adds the
-        // receive timestamp and may spill to the heap, which only traced
-        // runs pay).
-        Pool.post([Self,
-                   Owned = std::move(Msg)]() mutable -> sim::Task<void> {
-          return Self->handleCall(std::move(Owned), 0);
-        });
-        continue;
-      }
-      int64_t RecvNs = Host.sim().now().nanosecondsCount();
-      Pool.post([Self, RecvNs,
-                 Owned = std::move(Msg)]() mutable -> sim::Task<void> {
+      size_t ContentAt =
+          static_cast<size_t>(Content->data() - Msg.Payload.data());
+      CallFrame Frame{std::move(Msg.Payload), Msg.TraceCtx, ContentAt,
+                      Content->size()};
+      int64_t RecvNs =
+          trace::enabled() ? Host.sim().now().nanosecondsCount() : 0;
+      auto Work = [Self = this, RecvNs,
+                   Owned = std::move(Frame)]() mutable -> sim::Task<void> {
         return Self->handleCall(std::move(Owned), RecvNs);
-      });
+      };
+      static_assert(vm::ThreadPool::WorkItem::fitsInline<decltype(Work)>(),
+                    "a posted call must not heap-allocate its work item");
+      Pool.post(std::move(Work));
       continue;
     }
     ++Stats.MalformedDropped;
@@ -722,8 +699,7 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
                                int64_t RecvNs, uint64_t WireCtx) {
   // The dispatch loop already unframed the reply (checksum, HTTP header)
   // to read its kind byte; decode the envelope after it in place.
-  ErrorOr<serial::Envelope> Env = serial::decodeEnvelope(
-      Profile.Format, Content.data() + 1, Content.size() - 1);
+  ErrorOr<serial::Envelope> Env = openContent(Content);
   uint64_t CallId = 0;
   ErrorOr<Bytes> Result(Bytes{});
   if (!Env || !decodeReply(*Env, CallId, Result)) {
@@ -761,9 +737,11 @@ void RpcEndpoint::handleReturn(std::span<const uint8_t> Content,
   Reply.set(std::move(Result));
 }
 
-sim::Task<void> RpcEndpoint::rejectOverloaded(net::Message Msg) {
-  // Decode just the body prefix: enough to know who to answer.
-  ErrorOr<serial::Envelope> Env = openFrame(Msg.Payload);
+sim::Task<void>
+RpcEndpoint::rejectOverloaded(std::span<const uint8_t> Content) {
+  // Decode just the body prefix: enough to know who to answer.  Content
+  // is read only before the first suspension.
+  ErrorOr<serial::Envelope> Env = openContent(Content);
   CallBody C;
   if (!Env || !decodeCall(*Env, C, /*PrefixOnly=*/true)) {
     ++Stats.MalformedDropped;
@@ -812,53 +790,49 @@ void RpcEndpoint::forwardCall(CallBody &C, const MovedRoute &Route) {
   Net.send(Host.id(), Route.Node, Route.Port, std::move(Wire), 0);
 }
 
+void RpcEndpoint::unpark(NameTable::iterator It, const MovedRoute &To) {
+  // Replay in arrival order; the original CallId / reply coordinates /
+  // dedup id ride along, so replies go straight to the callers and the
+  // receiving dedup window absorbs any retransmitted twins.
+  std::vector<CallBody> Replay = std::exchange(It->second.ParkedCalls, {});
+  It->second.Parked = false;
+  eraseIfEmpty(It);
+  for (CallBody &C : Replay)
+    forwardCall(C, To);
+}
+
 void RpcEndpoint::completeMove(const std::string &Name,
                                const MovedRoute &Dst) {
   // Atomic cutover (no suspension between these lines): from here on no
   // call can slip between "parked" and "forwarded".
-  ParkedNames.erase(Name);
-  Moved[Name] = Dst;
-  auto It = ParkedByName.find(Name);
-  if (It == ParkedByName.end())
-    return;
-  std::vector<CallBody> Replay = std::move(It->second);
-  ParkedByName.erase(It);
-  // Replay in arrival order; the original CallId / reply coordinates /
-  // dedup id ride along, so replies go straight to the callers and the
-  // destination's dedup window absorbs any retransmitted twins.
-  for (CallBody &C : Replay)
-    forwardCall(C, Dst);
+  auto It = Names.try_emplace(Name).first;
+  It->second.Moved = Dst;
+  unpark(It, Dst);
 }
 
 void RpcEndpoint::cancelPark(const std::string &Name) {
-  ParkedNames.erase(Name);
-  auto It = ParkedByName.find(Name);
-  if (It == ParkedByName.end())
-    return;
-  std::vector<CallBody> Replay = std::move(It->second);
-  ParkedByName.erase(It);
   // Aborted migration: the source copy is still published, so re-deliver
   // the parked calls to ourselves over the loopback -- they re-enter the
   // normal dispatch path (admission included) as if the park never
-  // happened, in arrival order.
-  MovedRoute Self{Host.id(), Port, Name};
-  for (CallBody &C : Replay)
-    forwardCall(C, Self);
+  // happened.
+  auto It = Names.find(Name);
+  if (It != Names.end())
+    unpark(It, MovedRoute{Host.id(), Port, Name});
 }
 
 // PARCS_HOT_END
 
-sim::Task<void> RpcEndpoint::handleCall(net::Message Msg, int64_t RecvNs) {
+sim::Task<void> RpcEndpoint::handleCall(CallFrame Frame, int64_t RecvNs) {
   // Thin wrapper settling the admission backlog on normal completion.  A
   // handler that crash-parks never resumes this frame either, so the
   // decrement is simply lost with it -- the restart hook re-bases the
   // count from the surviving pool queue.
-  co_await handleCallInner(std::move(Msg), RecvNs);
+  co_await handleCallInner(std::move(Frame), RecvNs);
   if (AdmittedBacklog > 0)
     --AdmittedBacklog;
 }
 
-sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
+sim::Task<void> RpcEndpoint::handleCallInner(CallFrame Frame,
                                              int64_t RecvNs) {
   // Server-side handling as one complete span on the serving node, and as
   // the server leg of the call's async pair (same id the client opened --
@@ -866,9 +840,10 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   int64_t ServeStartNs = Host.sim().now().nanosecondsCount();
 
   // Server-side unmarshalling cost for the incoming wire bytes.
-  co_await Host.compute(sideCost(Msg.Payload.size()));
+  co_await Host.compute(sideCost(Frame.Wire.size()));
 
-  ErrorOr<serial::Envelope> Env = openFrame(Msg.Payload);
+  ErrorOr<serial::Envelope> Env =
+      openContent({Frame.Wire.data() + Frame.ContentAt, Frame.ContentSize});
   CallBody C;
   if (!Env || !decodeCall(*Env, C, /*PrefixOnly=*/false)) {
     ++Stats.MalformedDropped;
@@ -884,7 +859,7 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
     int64_t NowNs = Host.sim().now().nanosecondsCount();
     uint64_t QueueCtx = trace::mintCausalId();
     trace::completeCtx(Host.id(), 0, "rpc.dispatch_queue", RecvNs,
-                       ServeStartNs - RecvNs, QueueCtx, Msg.TraceCtx);
+                       ServeStartNs - RecvNs, QueueCtx, Frame.TraceCtx);
     uint64_t UnmarshalCtx = trace::mintCausalId();
     trace::completeCtx(Host.id(), 0, "rpc.unmarshal", ServeStartNs,
                        NowNs - ServeStartNs, UnmarshalCtx, QueueCtx);
@@ -920,21 +895,25 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   // never re-executed at the destination) and the in-progress *insert* (a
   // parked call must not squat an entry its own forwarded replay would
   // then trip over).
-  if (const MovedRoute *Route = movedRoute(C.Object)) {
+  // PARCS_HOT_BEGIN(rpc-name-lookup): one find, keyed by the decoded name
+  // itself, serves the tombstone, the park and the target.
+  auto Entry = Names.find(C.Object);
+  if (Entry != Names.end() && Entry->second.Moved) {
     // Straggler for a name that migrated away: forward it under the new
     // name; the destination replies straight to the original caller.
-    forwardCall(C, *Route);
+    forwardCall(C, *Entry->second.Moved);
     co_return;
   }
-  if (ParkedNames.count(C.Object) != 0) {
+  if (Entry != Names.end() && Entry->second.Parked) {
     // The object's mailbox is frozen mid-migration: hold the decoded call
     // for replay at cutover (or local re-delivery on abort).
     ++Stats.CallsParked;
     trace::instant(Host.id(), 0, "om.migrate.parked",
                    Host.sim().now().nanosecondsCount());
-    ParkedByName[C.Object].push_back(std::move(C));
+    Entry->second.ParkedCalls.push_back(std::move(C));
     co_return;
   }
+  // PARCS_HOT_END
 
   if (TwoWay && C.DedupId != 0) {
     if (DedupOrder.size() >= DedupWindowCap) {
@@ -946,10 +925,18 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
   }
 
   ErrorOr<Bytes> Result(Bytes{});
-  ErrorOr<std::shared_ptr<CallHandler>> Target = resolveTarget(C.Object);
-  if (!Target) {
-    Result = Target.error();
+  if (Entry == Names.end() || !Entry->second.Reg) {
+    Result = Error(ErrorCode::UnknownObject,
+                   "no object published as '" + C.Object + "'");
   } else {
+    // SingleCall: a fresh instance per call, no state retained.  Singleton:
+    // the published instance, made on first use for a well-known type.
+    Registration &Reg = *Entry->second.Reg;
+    if (Reg.Mode == WellKnownObjectMode::Singleton && !Reg.Instance)
+      Reg.Instance = Reg.Factory();
+    std::shared_ptr<CallHandler> Target =
+        Reg.Mode == WellKnownObjectMode::SingleCall ? Reg.Factory()
+                                                    : Reg.Instance;
     // Hand the serve context to the callee: its body up to the first
     // suspension runs synchronously inside this co_await (lazy tasks), so
     // the one-slot hand-off cannot be observed by anything else first.
@@ -958,11 +945,15 @@ sim::Task<void> RpcEndpoint::handleCallInner(net::Message Msg,
       trace::handoff(ServeCtx);
     // Executing-call count per name: migration drains this to zero after
     // parking, so state capture never races a running method.
-    ++InFlightByName[C.Object];
-    Result = co_await (*Target)->handleCall(C.Method, C.Args);
-    auto InF = InFlightByName.find(C.Object);
-    if (InF != InFlightByName.end() && --InF->second == 0)
-      InFlightByName.erase(InF);
+    ++Entry->second.InFlight;
+    Result = co_await Target->handleCall(C.Method, C.Args);
+    // PARCS_HOT_BEGIN(rpc-name-settle): re-find -- the name may have been
+    // unpublished, or a restart zeroed its count, while the method ran.
+    auto Settle = Names.find(C.Object);
+    if (Settle != Names.end() && Settle->second.InFlight > 0 &&
+        --Settle->second.InFlight == 0)
+      eraseIfEmpty(Settle);
+    // PARCS_HOT_END
     if (ServeCtx)
       trace::handoff(0);
   }

@@ -191,22 +191,22 @@ public:
   /// that can short-circuit local calls (the SCOOPP proxy's intra-grain
   /// path).
   std::shared_ptr<CallHandler> findPublished(const std::string &Name) const {
-    auto It = Published.find(Name);
-    return It == Published.end() ? nullptr : It->second.Instance;
+    const std::optional<Registration> &Reg = entry(Name).Reg;
+    return Reg ? Reg->Instance : nullptr;
   }
   bool isPublished(const std::string &Name) const {
-    return Published.count(Name) != 0;
+    return entry(Name).Reg.has_value();
   }
 
-  /// Every published name, in sorted order (the registry is an ordered
+  /// Every published name, in sorted order (the name table is an ordered
   /// map).  Deterministic iteration for rebalancing policies that pick
   /// migration victims.
   std::vector<std::string> publishedNames() const {
-    std::vector<std::string> Names;
-    Names.reserve(Published.size());
-    for (const auto &[Name, Reg] : Published)
-      Names.push_back(Name);
-    return Names;
+    std::vector<std::string> Published;
+    for (const auto &[Name, Entry] : Names)
+      if (Entry.Reg)
+        Published.push_back(Name);
+    return Published;
   }
 
   /// Two-way call: returns the result bytes produced by the remote
@@ -268,20 +268,16 @@ public:
   /// entered into the dedup window) until completeMove or cancelPark.
   /// First step of a live migration -- the mailbox freezes while the
   /// object's state is captured.
-  void parkName(const std::string &Name) { ParkedNames.insert(Name); }
-  bool isParked(const std::string &Name) const {
-    return ParkedNames.count(Name) != 0;
-  }
+  void parkName(const std::string &Name) { Names[Name].Parked = true; }
+  bool isParked(const std::string &Name) const { return entry(Name).Parked; }
   /// Calls currently executing against \p Name (migration drains this to
   /// zero before touching state).
   size_t inFlight(const std::string &Name) const {
-    auto It = InFlightByName.find(Name);
-    return It == InFlightByName.end() ? 0 : It->second;
+    return entry(Name).InFlight;
   }
   /// Calls parked against \p Name so far.
   size_t parkedCalls(const std::string &Name) const {
-    auto It = ParkedByName.find(Name);
-    return It == ParkedByName.end() ? 0 : It->second.size();
+    return entry(Name).ParkedCalls.size();
   }
 
   /// Atomically (no suspension) finishes a migration: drops the park,
@@ -299,8 +295,8 @@ public:
 
   /// The moved tombstone for \p Name (null when it never migrated away).
   const MovedRoute *movedRoute(const std::string &Name) const {
-    auto It = Moved.find(Name);
-    return It == Moved.end() ? nullptr : &It->second;
+    const std::optional<MovedRoute> &Moved = entry(Name).Moved;
+    return Moved ? &*Moved : nullptr;
   }
 
   /// One-way (asynchronous, no result) call: returns once the message has
@@ -373,13 +369,59 @@ private:
   /// and (for HTTP stacks) the header, emitted into one reserved buffer.
   Bytes frame(MsgKind Kind, std::string_view EnvelopeName,
               const Bytes &Body) const;
-  /// Strips transport framing; returns a view of the (kind, envelope)
-  /// content inside \p Wire -- headers are parsed in place, nothing is
-  /// copied.  The view is valid as long as \p Wire is.
+  /// Verifies and strips transport framing; returns a view of the (kind,
+  /// envelope) content inside \p Wire -- headers are parsed in place,
+  /// nothing is copied.  The view is valid as long as \p Wire is.  The
+  /// dispatch loop is its only caller: no frame is verified twice.
   ErrorOr<std::span<const uint8_t>> unframe(const Bytes &Wire) const;
-  /// unframe() plus the envelope after the kind byte: how the call
-  /// handlers open the frame the dispatch loop classified.
-  ErrorOr<serial::Envelope> openFrame(const Bytes &Wire) const;
+  /// The envelope after the kind byte of content unframe() returned.
+  ErrorOr<serial::Envelope>
+  openContent(std::span<const uint8_t> Content) const {
+    return serial::decodeEnvelope(Profile.Format, Content.data() + 1,
+                                  Content.size() - 1);
+  }
+
+  /// A call frame the dispatch loop verified: the wire bytes as they
+  /// arrived (the receive cost charges their size), the fabric's trace
+  /// context and where the content lies.  With `this` and the receive
+  /// time it fits the pool's inline work item.
+  struct CallFrame {
+    Bytes Wire;
+    uint64_t TraceCtx = 0;
+    size_t ContentAt = 0, ContentSize = 0;
+  };
+
+  /// What the endpoint holds for one object name: the registration (from
+  /// publish to unpublish), the migration park with the calls it holds for
+  /// replay, the moved tombstone (kept for good), and the count of calls
+  /// executing against the name (migration drains it to zero).
+  struct NameEntry {
+    std::optional<Registration> Reg;
+    bool Parked = false;
+    std::vector<CallBody> ParkedCalls;
+    std::optional<MovedRoute> Moved;
+    size_t InFlight = 0;
+
+    /// Held calls imply a park, so they need no test of their own.
+    bool empty() const { return !Reg && !Parked && !Moved && InFlight == 0; }
+  };
+
+  /// Heterogeneous lookup: a find by a view or a decoded name builds no key.
+  using NameTable = std::map<std::string, NameEntry, std::less<>>;
+
+  /// The entry for \p Name; an empty one when the endpoint holds nothing.
+  const NameEntry &entry(std::string_view Name) const {
+    static const NameEntry None;
+    auto It = Names.find(Name);
+    return It == Names.end() ? None : It->second;
+  }
+  /// Erases \p It once its entry holds nothing.
+  void eraseIfEmpty(NameTable::iterator It) {
+    if (It->second.empty())
+      Names.erase(It);
+  }
+  /// Lifts \p It's park and forwards the calls it held to \p To.
+  void unpark(NameTable::iterator It, const MovedRoute &To);
 
   /// A sent call's id, causal context and issue time (after any connect).
   struct Issued {
@@ -404,8 +446,8 @@ private:
   sim::Task<void> dispatchLoop();
   /// \p RecvNs is when the dispatch loop pulled the message off the wire
   /// (the rpc.dispatch_queue span start; 0 on untraced runs).
-  sim::Task<void> handleCall(net::Message Msg, int64_t RecvNs);
-  sim::Task<void> handleCallInner(net::Message Msg, int64_t RecvNs);
+  sim::Task<void> handleCall(CallFrame Frame, int64_t RecvNs);
+  sim::Task<void> handleCallInner(CallFrame Frame, int64_t RecvNs);
   /// \p Content is the unframed reply, kind byte first (see unframe()).
   void handleReturn(std::span<const uint8_t> Content, int64_t RecvNs,
                     uint64_t WireCtx);
@@ -415,18 +457,18 @@ private:
   void forwardCall(CallBody &C, const MovedRoute &Route);
 
   /// Runs on the dispatch path for an overload rejection: decodes the body
-  /// prefix and answers StatusOverloaded (or sheds a one-way call).
-  /// Deterministic: the hint is pure backlog arithmetic.
-  sim::Task<void> rejectOverloaded(net::Message Msg);
-
-  ErrorOr<std::shared_ptr<CallHandler>> resolveTarget(const std::string &Name);
+  /// prefix of the verified \p Content and answers StatusOverloaded (or
+  /// sheds a one-way call).  Deterministic: the hint is pure backlog
+  /// arithmetic.
+  sim::Task<void> rejectOverloaded(std::span<const uint8_t> Content);
 
   vm::Node &Host;
   net::Network &Net;
   const StackProfile &Profile;
   int Port;
   vm::ThreadPool Pool;
-  std::map<std::string, Registration> Published;
+  /// One entry per object name this endpoint holds anything for.
+  NameTable Names;
   std::unordered_map<uint64_t, PendingCall> PendingCalls;
   /// Destinations we already hold a connection to.
   std::set<std::pair<int, int>> Connected;
@@ -441,15 +483,6 @@ private:
   /// backlog the admission budget bounds.  Maintained even with admission
   /// disabled (one integer) so the policy can be enabled mid-run.
   size_t AdmittedBacklog = 0;
-  /// Names frozen by an in-progress migration.
-  std::set<std::string> ParkedNames;
-  /// FIFO of calls held per parked name, replayed at completeMove /
-  /// cancelPark.
-  std::map<std::string, std::vector<CallBody>> ParkedByName;
-  /// Tombstones for names that migrated away: stragglers are forwarded.
-  std::map<std::string, MovedRoute> Moved;
-  /// Calls currently executing, per target name (migration drains these).
-  std::map<std::string, size_t> InFlightByName;
   /// Jitter stream for retry backoff (seeded; see setRetryPolicy).
   Rng RetryRng;
   /// Recently timed-out call ids, bounded FIFO: distinguishes a late

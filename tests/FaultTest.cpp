@@ -94,7 +94,7 @@ TEST(FaultTest, DropPatternIsDeterministic) {
   // reply, which shifts the pattern: transfer 3 (request 2), 6 (request
   // 4), 9 (request 6), 12 (request 8) are lost -- 4 drops, so calls
   // 2/4/6/8 time out and the odd calls succeed.
-  EXPECT_EQ(W.Net.messagesDropped(), 4u);
+  EXPECT_EQ(W.Net.messagesFaultDropped(), 4u);
   EXPECT_EQ(Ok + TimedOut, 9);
   EXPECT_EQ(TimedOut, 4);
   EXPECT_EQ(Ok, 5);
@@ -116,7 +116,7 @@ TEST(FaultTest, LossyNetworkWithoutTimeoutJustStalls) {
   W.sim().spawn(Proc::run(W, Resumed));
   W.sim().run();
   EXPECT_FALSE(Resumed);
-  EXPECT_GE(W.Net.messagesDropped(), 1u);
+  EXPECT_GE(W.Net.messagesFaultDropped(), 1u);
 }
 
 TEST(FaultTest, RetryLoopSurvivesLoss) {
@@ -398,6 +398,20 @@ TEST(FaultTest, FaultPlanParsesAndRoundTrips) {
   ErrorOr<fault::FaultPlan> Again = fault::FaultPlan::parse(Plan->str());
   ASSERT_TRUE(Again.hasValue()) << Again.error().str();
   EXPECT_EQ(Again->str(), Plan->str());
+
+  // Each integer field takes its type's whole range and no more (the
+  // values past it are in FaultPlanRejectsNonsense).
+  ErrorOr<fault::FaultPlan> Edge = fault::FaultPlan::parse(
+      "seed(18446744073709551615);dropnth(2147483647);"
+      "crash(2147483647,1s);partition(0,2147483647,1s)");
+  ASSERT_TRUE(Edge.hasValue()) << Edge.error().str();
+  EXPECT_EQ(Edge->Seed, UINT64_MAX);
+  EXPECT_EQ(Edge->DropEveryNth, INT32_MAX);
+  EXPECT_EQ(Edge->Crashes[0].Node, INT32_MAX);
+  EXPECT_EQ(Edge->Partitions[0].NodeB, INT32_MAX);
+  ErrorOr<fault::FaultPlan> EdgeAgain = fault::FaultPlan::parse(Edge->str());
+  ASSERT_TRUE(EdgeAgain.hasValue()) << EdgeAgain.error().str();
+  EXPECT_EQ(EdgeAgain->str(), Edge->str());
 }
 
 TEST(FaultTest, FaultPlanRejectsNonsense) {
@@ -406,6 +420,14 @@ TEST(FaultTest, FaultPlanRejectsNonsense) {
   EXPECT_FALSE(fault::FaultPlan::parse("crash(1,10s,5s)").hasValue());
   EXPECT_FALSE(fault::FaultPlan::parse("partition(0,1,5s,2s)").hasValue());
   EXPECT_FALSE(fault::FaultPlan::parse("wibble(3)").hasValue());
+  // Integers past their field's range are refused, not wrapped (2^32 + 1
+  // must not read as 1).
+  EXPECT_FALSE(fault::FaultPlan::parse("dropnth(4294967297)").hasValue());
+  EXPECT_FALSE(fault::FaultPlan::parse("crash(4294967298,1s)").hasValue());
+  EXPECT_FALSE(
+      fault::FaultPlan::parse("partition(0,4294967297,1s)").hasValue());
+  EXPECT_FALSE(
+      fault::FaultPlan::parse("dropnth(99999999999999999999)").hasValue());
   EXPECT_TRUE(fault::FaultPlan::parse("").hasValue());
   EXPECT_TRUE(fault::FaultPlan::parse("")->empty());
 }

@@ -415,6 +415,66 @@ TEST(MigrationTest, MovesStateAndReroutesExistingProxies) {
   EXPECT_EQ(counterValue("om.migrations"), MigrationsBefore + 1);
 }
 
+TEST(MigrationTest, ChainedMovesRouteStaleProxiesToTheLastHome) {
+  MigWorld W(retryingConfig());
+  uint64_t MigrationsBefore = counterValue("om.migrations");
+  struct Proc {
+    static Task<void> run(MigWorld &W, ParallelRef &Home, int64_t &LastNs) {
+      MigCounterProxy P(W.Runtime, 0);
+      Error E = co_await P.create();
+      EXPECT_FALSE(E) << E.str();
+      if (E)
+        co_return;
+      ParallelRef Origin = P.ref();
+      EXPECT_EQ(Origin.Node, 1) << "round robin from node 0 starts at 1";
+      (void)co_await P.add(5);
+      (void)co_await P.add(7);
+
+      // Origin -> node 2 -> node 3: each adoption mints a fresh name, so
+      // the origin's tombstone points at the middle copy, whose own
+      // tombstone points at the last.
+      ErrorOr<ParallelRef> Middle =
+          co_await W.Runtime.om(Origin.Node).migrate(Origin.Name, 2);
+      EXPECT_TRUE(Middle.hasValue()) << Middle.error().str();
+      if (!Middle)
+        co_return;
+      ErrorOr<ParallelRef> Last =
+          co_await W.Runtime.om(Middle->Node).migrate(Middle->Name, 3);
+      EXPECT_TRUE(Last.hasValue()) << Last.error().str();
+      if (!Last)
+        co_return;
+
+      // Stale proxies bound to the origin and to the middle ref both end
+      // up at the last home, and see the state exactly once.
+      MigCounterProxy FromOrigin(W.Runtime, 0);
+      EXPECT_FALSE(FromOrigin.bind(MigCounterProxy::ClassName, Origin));
+      MigCounterProxy FromMiddle(W.Runtime, 0);
+      EXPECT_FALSE(FromMiddle.bind(MigCounterProxy::ClassName, *Middle));
+      for (MigCounterProxy *Stale : {&FromOrigin, &FromMiddle, &P}) {
+        auto Handled = co_await Stale->handled();
+        auto Sum = co_await Stale->sum();
+        EXPECT_TRUE(Handled.hasValue() && Sum.hasValue());
+        if (!Handled || !Sum)
+          co_return;
+        EXPECT_EQ(*Handled, 2) << "calls lost or duplicated in the moves";
+        EXPECT_EQ(*Sum, 12) << "state not carried";
+        EXPECT_EQ(Stale->ref(), *Last) << "route not absorbed";
+      }
+      Home = *Last;
+      LastNs = W.sim().now().nanosecondsCount();
+    }
+  };
+  ParallelRef Home;
+  int64_t LastNs = 0;
+  W.sim().spawn(Proc::run(W, Home, LastNs));
+  W.sim().run();
+  EXPECT_EQ(counterValue("om.migrations"), MigrationsBefore + 2);
+  // Pinned: the final home and the virtual time of the last call.
+  EXPECT_EQ(Home.Node, 3);
+  EXPECT_EQ(Home.Name, "io:MigCounter:0");
+  EXPECT_EQ(LastNs, 9164024);
+}
+
 constexpr int ReplayCalls = 20;
 
 TEST(MigrationTest, ParkedCallsReplayExactlyOnceUnderTraffic) {
